@@ -47,20 +47,16 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"swsketch/internal/core"
 	"swsketch/internal/obs"
 	"swsketch/internal/obs/audit"
 	"swsketch/internal/obs/hh"
 	"swsketch/internal/registry"
 	"swsketch/internal/serve"
-	"swsketch/internal/stream"
 	"swsketch/internal/trace"
 	"swsketch/internal/wal"
-	"swsketch/internal/window"
 )
 
 func main() {
@@ -106,88 +102,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	var spec window.Spec
+	cfg := registry.Config{
+		Framework: *algo, Window: registry.WindowSequence, Size: *winSize,
+		D: *d, DB: *dBSplit, Ell: *ell, B: *b, Seed: *seed, L: *levels, R: *rBound,
+		FDBuffer: *fdBuf, FDAlpha: *fdAlpha,
+	}
 	if *useTime {
-		spec = window.TimeSpan(*winSize)
-	} else {
-		spec = window.Seq(int(*winSize))
+		cfg.Window = registry.WindowTime
 	}
-
-	fdo := stream.FDOpts{Buffer: *fdBuf, Alpha: *fdAlpha}
-	if *fdBuf < 0 || *fdAlpha < 0 || *fdAlpha > 1 {
-		fmt.Fprintln(os.Stderr, "swserve: -fd-buffer must be ≥ 0 and -fd-alpha in (0,1] (0 for the default)")
+	sk, err := cfg.Build()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "swserve: %v\n", err)
 		os.Exit(2)
 	}
-	isAMM := false
-	switch strings.ToLower(*algo) {
-	case "lm-fd", "di-fd", "ds-fd":
-	case "lm-amm", "di-amm":
-		isAMM = true
-	default:
-		if *fdBuf != 0 || *fdAlpha != 0 {
-			fmt.Fprintf(os.Stderr, "swserve: -fd-buffer/-fd-alpha apply to the FD and AMM frameworks only, not %q\n", *algo)
-			os.Exit(2)
-		}
-	}
-	if isAMM && (*dBSplit < 1 || *dBSplit >= *d) {
-		fmt.Fprintf(os.Stderr, "swserve: %s requires -d-b in (0,d): the B-side suffix width of the stacked dimension d=%d\n", *algo, *d)
-		os.Exit(2)
-	}
-	if !isAMM && *dBSplit != 0 {
-		fmt.Fprintf(os.Stderr, "swserve: -d-b applies to the paired (amm) frameworks only, not %q\n", *algo)
-		os.Exit(2)
-	}
-
-	var sk core.WindowSketch
-	switch strings.ToLower(*algo) {
-	case "swr":
-		sk = core.NewSWR(spec, *ell, *d, *seed)
-	case "swor":
-		sk = core.NewSWOR(spec, *ell, *d, *seed)
-	case "swor-all":
-		sk = core.NewSWORAll(spec, *ell, *d, *seed)
-	case "lm-fd":
-		sk = core.NewLMFDOpts(spec, *d, *ell, *b, fdo)
-	case "lm-hash":
-		sk = core.NewLMHash(spec, *d, *ell, *b, uint64(*seed))
-	case "di-fd":
-		if *useTime {
-			fmt.Fprintln(os.Stderr, "swserve: di-fd supports sequence windows only")
-			os.Exit(2)
-		}
-		if *rBound <= 0 {
-			fmt.Fprintln(os.Stderr, "swserve: di-fd requires -R (the max squared row norm)")
-			os.Exit(2)
-		}
-		sk = core.NewDIFDOpts(core.DIConfig{
-			N: int(*winSize), R: *rBound, L: *levels, Ell: *ell, RSlack: 1.01,
-		}, *d, fdo)
-	case "ds-fd":
-		if *useTime {
-			fmt.Fprintln(os.Stderr, "swserve: ds-fd supports sequence windows only")
-			os.Exit(2)
-		}
-		sk = core.NewDSFD(core.DSFDConfig{
-			N: int(*winSize), Ell: *ell, R: *rBound, RSlack: 1.01, FD: fdo,
-		}, *d)
-	case "lm-amm":
-		sk = core.NewLMAMMOpts(spec, *d-*dBSplit, *dBSplit, *ell, *b, fdo)
-	case "di-amm":
-		if *useTime {
-			fmt.Fprintln(os.Stderr, "swserve: di-amm supports sequence windows only")
-			os.Exit(2)
-		}
-		if *rBound <= 0 {
-			fmt.Fprintln(os.Stderr, "swserve: di-amm requires -R (the max squared row norm)")
-			os.Exit(2)
-		}
-		sk = core.NewDIAMMOpts(core.DIConfig{
-			N: int(*winSize), R: *rBound, L: *levels, Ell: *ell, RSlack: 1.01,
-		}, *d-*dBSplit, *dBSplit, fdo)
-	default:
-		fmt.Fprintf(os.Stderr, "swserve: unknown algorithm %q\n", *algo)
-		os.Exit(2)
-	}
+	spec := cfg.Spec()
 
 	var opts []serve.Option
 	var reg *obs.Registry

@@ -50,7 +50,7 @@ import (
 	"swsketch/internal/mat"
 	"swsketch/internal/obs"
 	"swsketch/internal/obs/audit"
-	"swsketch/internal/stream"
+	"swsketch/internal/registry"
 	"swsketch/internal/trace"
 	"swsketch/internal/window"
 )
@@ -338,75 +338,23 @@ func printInstrumentation(w io.Writer, reg *obs.Registry, sk core.WindowSketch) 
 	}
 }
 
+// buildSketch builds the sketch the options describe: every framework
+// through the tenant registry's config, plus the offline best rank-k
+// baseline, which is not a registry framework.
 func buildSketch(opt options, spec window.Spec, d int) (core.WindowSketch, error) {
-	fdo := stream.FDOpts{Buffer: opt.fdBuffer, Alpha: opt.fdAlpha}
-	if opt.fdBuffer < 0 {
-		return nil, fmt.Errorf("-fd-buffer must be ≥ 0, got %d", opt.fdBuffer)
-	}
-	if opt.fdAlpha < 0 || opt.fdAlpha > 1 {
-		return nil, fmt.Errorf("-fd-alpha must be in (0,1] (0 for the default), got %v", opt.fdAlpha)
-	}
-	isFD := false
-	isAMM := false
-	switch strings.ToLower(opt.algo) {
-	case "lm-fd", "di-fd", "ds-fd":
-		isFD = true
-	case "lm-amm", "di-amm":
-		isFD, isAMM = true, true
-	}
-	if !isFD && (opt.fdBuffer != 0 || opt.fdAlpha != 0) {
-		return nil, fmt.Errorf("-fd-buffer/-fd-alpha apply to the FD and AMM frameworks only, not %q", opt.algo)
-	}
-	if isAMM && (opt.dB < 1 || opt.dB >= d) {
-		return nil, fmt.Errorf("%s requires -d-b in (0,d): the B-side suffix width of the stacked dimension d=%d, got %d", opt.algo, d, opt.dB)
-	}
-	if !isAMM && opt.dB != 0 {
-		return nil, fmt.Errorf("-d-b applies to the paired (amm) frameworks only, not %q", opt.algo)
-	}
-	switch strings.ToLower(opt.algo) {
-	case "swr":
-		return core.NewSWR(spec, opt.ell, d, opt.seed), nil
-	case "swor":
-		return core.NewSWOR(spec, opt.ell, d, opt.seed), nil
-	case "swor-all":
-		return core.NewSWORAll(spec, opt.ell, d, opt.seed), nil
-	case "lm-fd":
-		return core.NewLMFDOpts(spec, d, opt.ell, opt.b, fdo), nil
-	case "lm-hash":
-		return core.NewLMHash(spec, d, opt.ell, opt.b, uint64(opt.seed)), nil
-	case "di-fd":
-		if opt.useTime {
-			return nil, fmt.Errorf("di-fd supports sequence windows only")
+	if strings.EqualFold(opt.algo, "best") {
+		if opt.fdBuffer != 0 || opt.fdAlpha != 0 || opt.dB != 0 {
+			return nil, fmt.Errorf("-fd-buffer/-fd-alpha/-d-b do not apply to best")
 		}
-		r := opt.rBound
-		if r == 0 {
-			return nil, fmt.Errorf("di-fd requires -R (the max squared row norm)")
-		}
-		return core.NewDIFDOpts(core.DIConfig{
-			N: int(opt.winSize), R: r, L: opt.levels, Ell: opt.ell, RSlack: 1.01,
-		}, d, fdo), nil
-	case "ds-fd":
-		if opt.useTime {
-			return nil, fmt.Errorf("ds-fd supports sequence windows only")
-		}
-		return core.NewDSFD(core.DSFDConfig{
-			N: int(opt.winSize), Ell: opt.ell, R: opt.rBound, RSlack: 1.01, FD: fdo,
-		}, d), nil
-	case "lm-amm":
-		return core.NewLMAMMOpts(spec, d-opt.dB, opt.dB, opt.ell, opt.b, fdo), nil
-	case "di-amm":
-		if opt.useTime {
-			return nil, fmt.Errorf("di-amm supports sequence windows only")
-		}
-		if opt.rBound == 0 {
-			return nil, fmt.Errorf("di-amm requires -R (the max squared row norm)")
-		}
-		return core.NewDIAMMOpts(core.DIConfig{
-			N: int(opt.winSize), R: opt.rBound, L: opt.levels, Ell: opt.ell, RSlack: 1.01,
-		}, d-opt.dB, opt.dB, fdo), nil
-	case "best":
 		return core.NewBest(spec, opt.ell, d), nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", opt.algo)
 	}
+	cfg := registry.Config{
+		Framework: opt.algo, Window: registry.WindowSequence, Size: opt.winSize,
+		D: d, DB: opt.dB, Ell: opt.ell, B: opt.b, Seed: opt.seed, L: opt.levels, R: opt.rBound,
+		FDBuffer: opt.fdBuffer, FDAlpha: opt.fdAlpha,
+	}
+	if opt.useTime {
+		cfg.Window = registry.WindowTime
+	}
+	return cfg.Build()
 }

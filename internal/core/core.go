@@ -80,6 +80,30 @@ func validateBatch(algo string, rows [][]float64, times []float64, d int) {
 	}
 }
 
+// checkBatchBound is the up-front pass of the sketches that take a
+// declared squared-norm bound R (DI, DS-FD): before any row lands it
+// walks the batch as per-row ingest will — timestamp order against the
+// running clock, then ‖a‖² ≤ R·slack — and panics with the message
+// ingest would raise, so a refused batch leaves the sketch untouched.
+// Zero rows carry no mass and do not advance the clock, as in ingest;
+// r = 0 (an adaptive bound) skips the norm test.
+func checkBatchBound(algo string, rows [][]float64, times []float64, lastT float64, seen bool, r, slack float64) {
+	for i, row := range rows {
+		t := times[i]
+		if seen && t < lastT {
+			panic(fmt.Sprintf("core: %s timestamp %v precedes %v", algo, t, lastT))
+		}
+		w := rowSqNorm(row)
+		if w == 0 {
+			continue
+		}
+		if r > 0 && w > r*slack {
+			panic(fmt.Sprintf("core: %s row squared norm %v exceeds declared R=%v", algo, w, r))
+		}
+		lastT, seen = t, true
+	}
+}
+
 // Introspector is implemented by sketches that expose their internal
 // state as a flat name → value map for operational monitoring: queue
 // depths, level occupancy, shrink counts, tracker sizes. Keys are

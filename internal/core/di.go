@@ -227,10 +227,13 @@ func (s *DI) Update(row []float64, t float64) {
 	s.ingest(mat.SparseFromDense(row), t)
 }
 
-// UpdateBatch ingests rows in order with one up-front validation pass;
-// the dyadic counter advances exactly as under row-at-a-time Update.
+// UpdateBatch ingests rows in order after up-front validation —
+// including every row's timestamp and its norm against the declared R,
+// so a refused batch lands no row; the dyadic counter advances exactly
+// as under row-at-a-time Update.
 func (s *DI) UpdateBatch(rows [][]float64, times []float64) {
 	validateBatch("DI", rows, times, s.d)
+	checkBatchBound("DI", rows, times, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack)
 	for i, r := range rows {
 		s.ingest(mat.SparseFromDense(r), times[i])
 	}

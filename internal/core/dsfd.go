@@ -204,11 +204,14 @@ func (s *DSFD) Update(row []float64, t float64) {
 	s.ingest(row, rowSqNorm(row), t)
 }
 
-// UpdateBatch ingests rows in order with one up-front validation pass;
-// dump and snapshot decisions fall exactly as under row-at-a-time
-// Update, so the resulting state is bit-identical.
+// UpdateBatch ingests rows in order after up-front validation —
+// including every row's timestamp and, with a declared R, its norm, so
+// a refused batch lands no row; dump and snapshot decisions fall
+// exactly as under row-at-a-time Update, so the resulting state is
+// bit-identical.
 func (s *DSFD) UpdateBatch(rows [][]float64, times []float64) {
 	validateBatch("DSFD", rows, times, s.d)
+	checkBatchBound("DSFD", rows, times, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack)
 	for i, r := range rows {
 		s.ingest(r, rowSqNorm(r), times[i])
 	}

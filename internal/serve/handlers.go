@@ -35,6 +35,27 @@ func (e *apiError) write(w http.ResponseWriter) {
 	httpError(w, e.status, e.code, "%s", e.msg)
 }
 
+// decodeBody decodes a JSON request body into v: the body is capped at
+// the WithMaxBody limit (413 beyond it) and unknown fields are
+// rejected.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) *apiError {
+	body := r.Body
+	if s.maxBody > 0 {
+		body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+				"body exceeds %d bytes", tooLarge.Limit)
+		}
+		return errf(http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+	}
+	return nil
+}
+
 type ingestRequest struct {
 	Updates []ingestUpdate `json:"updates"`
 }
@@ -45,6 +66,70 @@ type ingestUpdate struct {
 	Idx []int     `json:"idx,omitempty"`
 	Val []float64 `json:"val,omitempty"`
 	T   float64   `json:"t"`
+}
+
+// dense checks one JSON update's shape and finiteness for dimension d
+// and returns its dense row; a sparse idx/val update is scattered
+// here, so the sketch only ever sees dense rows.
+func (u ingestUpdate) dense(d int) ([]float64, error) {
+	if len(u.Idx) == 0 && len(u.Val) == 0 {
+		return u.Row, checkRow(u.Row, d)
+	}
+	if len(u.Row) > 0 {
+		return nil, fmt.Errorf("row and idx/val are mutually exclusive")
+	}
+	if len(u.Idx) != len(u.Val) {
+		return nil, fmt.Errorf("%d indices but %d values", len(u.Idx), len(u.Val))
+	}
+	prev := -1
+	for _, ix := range u.Idx {
+		if ix <= prev || ix >= d {
+			return nil, fmt.Errorf("sparse index %d invalid for dimension %d", ix, d)
+		}
+		prev = ix
+	}
+	if err := checkFiniteVals(u.Val); err != nil {
+		return nil, err
+	}
+	return mat.SparseRow{Idx: u.Idx, Val: u.Val}.Dense(d), nil
+}
+
+// checkRow checks a dense row's length and finiteness.
+func checkRow(row []float64, d int) error {
+	if len(row) != d {
+		return fmt.Errorf("row length %d, want %d", len(row), d)
+	}
+	return checkFiniteVals(row)
+}
+
+// batch is one ingest request's updates in wire order, as the
+// admission pass in ingestLocked reads them: JSON routes pass a
+// jsonBatch, binary frames the already-dense frameBatch.
+type batch interface {
+	len() int
+	// at returns update i's dense row and timestamp, or why the row
+	// is malformed for dimension d.
+	at(i, d int) (row []float64, t float64, err error)
+}
+
+type jsonBatch []ingestUpdate
+
+func (b jsonBatch) len() int { return len(b) }
+
+func (b jsonBatch) at(i, d int) ([]float64, float64, error) {
+	row, err := b[i].dense(d)
+	return row, b[i].T, err
+}
+
+type frameBatch struct {
+	rows  [][]float64
+	times []float64
+}
+
+func (b frameBatch) len() int { return len(b.rows) }
+
+func (b frameBatch) at(i, d int) ([]float64, float64, error) {
+	return b.rows[i], b.times[i], checkRow(b.rows[i], d)
 }
 
 type ingestResponse struct {
@@ -64,24 +149,12 @@ func (s *Server) handleTenantIngest(w http.ResponseWriter, r *http.Request) {
 
 // ingestInto decodes an ingest body and applies it to one tenant.
 func (s *Server) ingestInto(w http.ResponseWriter, r *http.Request, t *registry.Tenant) {
-	body := r.Body
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
 	var req ingestRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
+		apiErr.write(w)
 		return
 	}
-	resp, apiErr := s.ingestTenant(t, req.Updates)
+	resp, apiErr := s.ingestTenant(t, jsonBatch(req.Updates))
 	if apiErr != nil {
 		apiErr.write(w)
 		return
@@ -93,8 +166,8 @@ func (s *Server) ingestInto(w http.ResponseWriter, r *http.Request, t *registry.
 // acquiring it for the duration. The batch is all-or-nothing: it is
 // validated against the tenant's clock and dimension before any row
 // touches the sketch.
-func (s *Server) ingestTenant(t *registry.Tenant, updates []ingestUpdate) (ingestResponse, *apiError) {
-	if len(updates) == 0 {
+func (s *Server) ingestTenant(t *registry.Tenant, b batch) (ingestResponse, *apiError) {
+	if b.len() == 0 {
 		return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument, "no updates")
 	}
 	if err := t.Acquire(); err != nil {
@@ -102,7 +175,7 @@ func (s *Server) ingestTenant(t *registry.Tenant, updates []ingestUpdate) (inges
 		return ingestResponse{}, acquireError(t, err)
 	}
 	defer t.Release()
-	resp, apiErr := s.ingestLocked(t, updates)
+	resp, apiErr := s.ingestLocked(t, b)
 	if apiErr != nil {
 		// Rejected batches (clock regressions, bad rows, sketch
 		// conflicts) land on the sidecar's events plane.
@@ -111,102 +184,50 @@ func (s *Server) ingestTenant(t *registry.Tenant, updates []ingestUpdate) (inges
 	return resp, apiErr
 }
 
-// ingestLocked is the ingest core; the caller holds the tenant.
-func (s *Server) ingestLocked(t *registry.Tenant, updates []ingestUpdate) (ingestResponse, *apiError) {
+// ingestLocked is the one ingest core; the caller holds the tenant.
+// One pass checks every update in order — its timestamp against the
+// running clock, then its shape and finiteness — and gathers the batch
+// into a dense block, which is logged to the WAL and then applied with
+// one UpdateBatch call.
+func (s *Server) ingestLocked(t *registry.Tenant, b batch) (ingestResponse, *apiError) {
 	d := t.D()
-	sk := t.Sketch()
 	prev, seen := t.Clock()
-	auditing := t == s.def && s.audit != nil
-	allDense := true
-	for _, u := range updates {
-		if len(u.Idx) > 0 || len(u.Val) > 0 {
-			allDense = false
-			break
-		}
-	}
-	if allDense {
-		// Fast path: an all-dense batch goes through the sketch's bulk
-		// ingest in one call, amortising per-row bookkeeping.
-		rows := make([][]float64, 0, len(updates))
-		times := make([]float64, 0, len(updates))
-		for i, u := range updates {
-			if seen && u.T < prev {
-				return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-					"update %d: timestamp %v precedes %v", i, u.T, prev)
-			}
-			if len(u.Row) != d {
-				return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-					"update %d: row length %d, want %d", i, len(u.Row), d)
-			}
-			if err := checkFiniteVals(u.Row); err != nil {
-				return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-					"update %d: %v", i, err)
-			}
-			rows = append(rows, u.Row)
-			times = append(times, u.T)
-			prev, seen = u.T, true
-		}
-		if apiErr := s.walAppendRows(t, rows, times); apiErr != nil {
-			return ingestResponse{}, apiErr
-		}
-		if err := applyBatch(sk, rows, times); err != nil {
-			return ingestResponse{}, errf(http.StatusConflict, CodeConflict,
-				"ingest rejected by sketch: %v", err)
-		}
-		t.Commit(len(updates), prev)
-		s.hot.ObserveIngest(t.ID(), len(updates), 8*d*len(updates))
-		if auditing {
-			s.observeAudit(rows, times)
-		}
-		return ingestResponse{Accepted: len(updates), LastT: prev}, nil
-	}
-	rows := make([]func(), 0, len(updates))
-	// The WAL logs dense row blocks (replay has no sparse path), so a
-	// sparse batch densifies when either the auditor or the WAL needs
-	// the dense form.
-	wantDense := auditing || s.wal != nil
-	var denseRows [][]float64
-	var denseTimes []float64
-	if wantDense {
-		denseRows = make([][]float64, 0, len(updates))
-		denseTimes = make([]float64, 0, len(updates))
-	}
-	for i, u := range updates {
-		if seen && u.T < prev {
+	n := b.len()
+	rows := make([][]float64, n)
+	times := make([]float64, n)
+	for i := range rows {
+		row, ts, err := b.at(i, d)
+		if seen && ts < prev {
 			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
-				"update %d: timestamp %v precedes %v", i, u.T, prev)
+				"update %d: timestamp %v precedes %v", i, ts, prev)
 		}
-		apply, dense, err := prepareUpdate(t, u, wantDense)
 		if err != nil {
 			return ingestResponse{}, errf(http.StatusBadRequest, CodeInvalidArgument,
 				"update %d: %v", i, err)
 		}
-		rows = append(rows, apply)
-		if wantDense {
-			denseRows = append(denseRows, dense)
-			denseTimes = append(denseTimes, u.T)
-		}
-		prev, seen = u.T, true
+		rows[i], times[i] = row, ts
+		prev, seen = ts, true
 	}
-	if apiErr := s.walAppendRows(t, denseRows, denseTimes); apiErr != nil {
+	if apiErr := s.walAppendRows(t, rows, times); apiErr != nil {
 		return ingestResponse{}, apiErr
 	}
 	// The sketch enforces invariants the server cannot fully check —
 	// e.g. after a snapshot restore the sketch's internal clock may be
-	// ahead of the server's. Surface those as 409 instead of crashing
+	// ahead of the server's, and DI/DS-FD refuse rows over their
+	// declared norm bound R. Surface those as 409 instead of crashing
 	// the connection.
-	if err := applyAll(rows); err != nil {
+	if err := applyBatch(t.Sketch(), rows, times); err != nil {
 		return ingestResponse{}, errf(http.StatusConflict, CodeConflict,
 			"ingest rejected by sketch: %v", err)
 	}
-	t.Commit(len(updates), prev)
+	t.Commit(n, prev)
 	// Committed rows feed the sidecar's rows plane; the bytes plane
-	// gets the dense-equivalent payload size (8 bytes × d per row).
-	s.hot.ObserveIngest(t.ID(), len(updates), 8*d*len(updates))
-	if auditing {
-		s.observeAudit(denseRows, denseTimes)
+	// gets the dense payload size (8 bytes × d per row).
+	s.hot.ObserveIngest(t.ID(), n, 8*d*n)
+	if t == s.def {
+		s.observeAudit(rows, times)
 	}
-	return ingestResponse{Accepted: len(updates), LastT: prev}, nil
+	return ingestResponse{Accepted: n, LastT: prev}, nil
 }
 
 // observeAudit feeds freshly ingested default-tenant rows to the
@@ -222,55 +243,6 @@ func (s *Server) observeAudit(rows [][]float64, times []float64) {
 	s.audit.ObserveBatch(rows, times, func(t float64) *mat.Dense {
 		return s.def.Raw().Query(t)
 	})
-}
-
-// prepareUpdate validates one ingest update and returns a closure that
-// applies it plus the dense form of the row (for the audit shadow —
-// sparse rows are only densified when wantDense is set); validation
-// and application are split so a bad batch is rejected atomically.
-// The caller holds the tenant.
-func prepareUpdate(t *registry.Tenant, u ingestUpdate, wantDense bool) (func(), []float64, error) {
-	d := t.D()
-	sk := t.Sketch()
-	if len(u.Idx) > 0 || len(u.Val) > 0 {
-		if len(u.Row) > 0 {
-			return nil, nil, fmt.Errorf("row and idx/val are mutually exclusive")
-		}
-		if len(u.Idx) != len(u.Val) {
-			return nil, nil, fmt.Errorf("%d indices but %d values", len(u.Idx), len(u.Val))
-		}
-		prev := -1
-		for _, ix := range u.Idx {
-			if ix <= prev || ix >= d {
-				return nil, nil, fmt.Errorf("sparse index %d invalid for dimension %d", ix, d)
-			}
-			prev = ix
-		}
-		if err := checkFiniteVals(u.Val); err != nil {
-			return nil, nil, err
-		}
-		sr := mat.SparseRow{Idx: u.Idx, Val: u.Val}
-		// Capability lives on the undecorated sketch; the decorated one
-		// (which forwards sparse updates) takes the call so the update
-		// is recorded.
-		if _, ok := t.Raw().(core.SparseUpdater); ok {
-			su := sk.(core.SparseUpdater)
-			var row []float64
-			if wantDense {
-				row = sr.Dense(d)
-			}
-			return func() { su.UpdateSparse(sr, u.T) }, row, nil
-		}
-		dense := sr.Dense(d)
-		return func() { sk.Update(dense, u.T) }, dense, nil
-	}
-	if len(u.Row) != d {
-		return nil, nil, fmt.Errorf("row length %d, want %d", len(u.Row), d)
-	}
-	if err := checkFiniteVals(u.Row); err != nil {
-		return nil, nil, err
-	}
-	return func() { sk.Update(u.Row, u.T) }, u.Row, nil
 }
 
 // acquireError maps a Tenant.Acquire failure onto the envelope:

@@ -531,8 +531,10 @@ func checkFiniteVals(vals []float64) error {
 	return nil
 }
 
-// applyBatch feeds an all-dense batch through the sketch's bulk path,
-// converting sketch panics into errors like applyAll.
+// applyBatch is the one guard between the server and a sketch: every
+// ingest route and WAL replay hands it a dense block, which reaches the
+// sketch through UpdateBatch; sketch panics (invariant violations)
+// come back as errors.
 func applyBatch(sk core.WindowSketch, rows [][]float64, times []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -540,20 +542,6 @@ func applyBatch(sk core.WindowSketch, rows [][]float64, times []float64) (err er
 		}
 	}()
 	sk.UpdateBatch(rows, times)
-	return nil
-}
-
-// applyAll runs the prepared updates, converting sketch panics
-// (invariant violations) into errors.
-func applyAll(rows []func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	for _, apply := range rows {
-		apply()
-	}
 	return nil
 }
 

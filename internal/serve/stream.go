@@ -147,7 +147,7 @@ func (c *streamConn) runNDJSON(body io.Reader) {
 		if len(batch) == 0 {
 			return true
 		}
-		ok := c.block(batch)
+		ok := c.block(jsonBatch(batch))
 		batch = batch[:0]
 		return ok
 	}
@@ -203,60 +203,60 @@ func (c *streamConn) runFrames(body io.Reader) {
 				msg: fmt.Sprintf("torn frame: %v", err)})
 			return
 		}
-		updates, err := decodeFrame(payload, c.t.D())
+		rows, times, err := decodeFrame(payload, c.t.D())
 		if err != nil {
 			// A bad frame is unrecoverable: the next length prefix cannot
 			// be trusted, so ack the failure and close.
 			c.fail(&apiError{code: CodeInvalidArgument, msg: err.Error()})
 			return
 		}
-		if !c.block(updates) {
+		if !c.block(frameBatch{rows: rows, times: times}) {
 			return
 		}
 	}
 }
 
-// decodeFrame parses one binary frame payload into dense updates.
-func decodeFrame(payload []byte, wantD int) ([]ingestUpdate, error) {
+// decodeFrame parses one binary frame payload into a dense block:
+// n rows of length wantD and their n timestamps.
+func decodeFrame(payload []byte, wantD int) ([][]float64, []float64, error) {
 	r := binenc.NewReader(payload)
 	n, d := r.Int(), r.Int()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("frame header: %w", err)
+		return nil, nil, fmt.Errorf("frame header: %w", err)
 	}
 	if n < 1 || d != wantD {
-		return nil, fmt.Errorf("frame claims %d rows of dimension %d, want dimension %d", n, d, wantD)
+		return nil, nil, fmt.Errorf("frame claims %d rows of dimension %d, want dimension %d", n, d, wantD)
 	}
 	// Bound the claimed block by the bytes actually present before
 	// allocating (d is server-known and small, so n*(d+1) cannot
 	// overflow once n passes the first gate).
 	if n > r.Rest()/8 || n*(d+1) > r.Rest()/8 {
-		return nil, fmt.Errorf("frame claims %d×%d block, only %d bytes follow", n, d, r.Rest())
+		return nil, nil, fmt.Errorf("frame claims %d×%d block, only %d bytes follow", n, d, r.Rest())
 	}
 	times := make([]float64, n)
 	for i := range times {
 		times[i] = r.F64()
 	}
-	updates := make([]ingestUpdate, n)
-	for i := range updates {
-		row := make([]float64, d)
-		for j := range row {
-			row[j] = r.F64()
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			rows[i][j] = r.F64()
 		}
-		updates[i] = ingestUpdate{Row: row, T: times[i]}
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("frame body: %w", err)
+		return nil, nil, fmt.Errorf("frame body: %w", err)
 	}
 	if r.Rest() != 0 {
-		return nil, fmt.Errorf("frame has %d trailing bytes", r.Rest())
+		return nil, nil, fmt.Errorf("frame has %d trailing bytes", r.Rest())
 	}
-	return updates, nil
+	return rows, times, nil
 }
 
 // block admits one batch through the backpressure gate, applies it,
 // and acks the outcome. It reports whether the stream should continue
 // (only an unwritable ack stops it).
-func (c *streamConn) block(updates []ingestUpdate) bool {
+func (c *streamConn) block(b batch) bool {
 	if !c.t.TryEnqueue(c.s.streamQueue) {
 		if c.s.streamShed != nil {
 			c.s.streamShed.Inc()
@@ -264,7 +264,7 @@ func (c *streamConn) block(updates []ingestUpdate) bool {
 		return c.fail(&apiError{code: CodeOverloaded,
 			msg: fmt.Sprintf("tenant %q has %d stream blocks in flight", c.t.ID(), c.t.Pending())})
 	}
-	resp, apiErr := c.s.ingestTenant(c.t, updates)
+	resp, apiErr := c.s.ingestTenant(c.t, b)
 	c.t.Dequeue()
 	if apiErr != nil {
 		return c.ack(apiErr, 0, 0)

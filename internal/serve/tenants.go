@@ -90,21 +90,9 @@ func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 			"tenant ID %q is reserved", DefaultTenant)
 		return
 	}
-	body := r.Body
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
 	var cfg registry.Config
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+	if apiErr := s.decodeBody(w, r, &cfg); apiErr != nil {
+		apiErr.write(w)
 		return
 	}
 	t, err := s.treg.Create(id, cfg)
@@ -201,8 +189,8 @@ type bulkTenantUpdates struct {
 	Updates []ingestUpdate `json:"updates"`
 }
 
-// bulkResult is one tenant's outcome inside a bulk ingest response:
-// either Accepted/LastT on success or Error on failure.
+// bulkResult is one tenant's outcome inside a /v1 bulk ingest
+// response: either Accepted/LastT on success or Error on failure.
 type bulkResult struct {
 	ID       string     `json:"id"`
 	Accepted int        `json:"accepted"`
@@ -214,58 +202,53 @@ type bulkIngestResponse struct {
 	Results []bulkResult `json:"results"`
 }
 
-// decodeBulk parses a bulk-ingest body, shared by /v1/ingest/bulk and
-// /v2/rows.
-func (s *Server) decodeBulk(w http.ResponseWriter, r *http.Request) (bulkIngestRequest, *apiError) {
-	body := r.Body
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
+// bulkIngest is the loop behind /v1/ingest/bulk and /v2/rows, which
+// differ only in their result shape. Each tenant's batch is
+// all-or-nothing, but tenants are independent: one tenant's failure
+// (reported in its result's error, with the same codes as
+// single-tenant ingest) does not abort the others, and results come
+// back one per requested tenant, in request order. On false the error
+// response has been written.
+func (s *Server) bulkIngest(w http.ResponseWriter, r *http.Request) ([]itemResult, bool) {
 	var req bulkIngestRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return req, errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"body exceeds %d bytes", tooLarge.Limit)
-		}
-		return req, errf(http.StatusBadRequest, CodeInvalidJSON, "bad JSON: %v", err)
+	if apiErr := s.decodeBody(w, r, &req); apiErr != nil {
+		apiErr.write(w)
+		return nil, false
 	}
 	if len(req.Tenants) == 0 {
-		return req, errf(http.StatusBadRequest, CodeInvalidArgument, "no tenants")
+		httpError(w, http.StatusBadRequest, CodeInvalidArgument, "no tenants")
+		return nil, false
 	}
-	return req, nil
-}
-
-// handleBulkIngest applies per-tenant update batches in one request.
-// Each tenant's batch is all-or-nothing, but tenants are independent:
-// one tenant's failure (reported in its result's error field, with the
-// same codes as single-tenant ingest) does not abort the others, and
-// the response is always 200 with one result per requested tenant, in
-// request order.
-func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
-	req, apiErr := s.decodeBulk(w, r)
-	if apiErr != nil {
-		apiErr.write(w)
-		return
-	}
-	results := make([]bulkResult, 0, len(req.Tenants))
-	for _, item := range req.Tenants {
-		res := bulkResult{ID: item.ID}
+	results := make([]itemResult, len(req.Tenants))
+	for i, item := range req.Tenants {
+		res := itemResult{Index: i, ID: item.ID}
 		t, ok := s.treg.Get(item.ID)
 		if !ok {
 			// Attribute the miss to the requested key: a bulk client
 			// hammering a deleted tenant shows up on the events plane.
 			s.hot.ObserveEvent(item.ID)
 			res.Error = &errorBody{Code: CodeNotFound, Message: fmt.Sprintf("no tenant %q", item.ID)}
-		} else if resp, apiErr := s.ingestTenant(t, item.Updates); apiErr != nil {
+		} else if resp, apiErr := s.ingestTenant(t, jsonBatch(item.Updates)); apiErr != nil {
 			res.Error = &errorBody{Code: apiErr.code, Message: apiErr.msg}
 		} else {
 			res.Accepted = resp.Accepted
 			res.LastT = resp.LastT
 		}
-		results = append(results, res)
+		results[i] = res
 	}
-	writeJSON(w, bulkIngestResponse{Results: results})
+	return results, true
+}
+
+// handleBulkIngest is POST /v1/ingest/bulk: bulkIngest, always 200,
+// with the v1 per-tenant result shape.
+func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
+	results, ok := s.bulkIngest(w, r)
+	if !ok {
+		return
+	}
+	v1 := make([]bulkResult, len(results))
+	for i, res := range results {
+		v1[i] = bulkResult{ID: res.ID, Accepted: res.Accepted, LastT: res.LastT, Error: res.Error}
+	}
+	writeJSON(w, bulkIngestResponse{Results: v1})
 }

@@ -99,31 +99,10 @@ type v2BulkResponse struct {
 	Results []itemResult `json:"results"`
 }
 
-// handleV2Bulk is POST /v2/rows: the /v1/ingest/bulk semantics (per-
-// tenant all-or-nothing batches, independent tenants, always 200) with
-// the unified itemResult envelope.
+// handleV2Bulk is POST /v2/rows: bulkIngest, always 200, with the
+// unified itemResult envelope.
 func (s *Server) handleV2Bulk(w http.ResponseWriter, r *http.Request) {
-	req, apiErr := s.decodeBulk(w, r)
-	if apiErr != nil {
-		apiErr.write(w)
-		return
+	if results, ok := s.bulkIngest(w, r); ok {
+		writeJSON(w, v2BulkResponse{Results: results})
 	}
-	results := make([]itemResult, 0, len(req.Tenants))
-	for i, item := range req.Tenants {
-		res := itemResult{Index: i, ID: item.ID}
-		t, ok := s.treg.Get(item.ID)
-		if !ok {
-			// Attribute the miss to the requested key: a bulk client
-			// hammering a deleted tenant shows up on the events plane.
-			s.hot.ObserveEvent(item.ID)
-			res.Error = &errorBody{Code: CodeNotFound, Message: fmt.Sprintf("no tenant %q", item.ID)}
-		} else if resp, apiErr := s.ingestTenant(t, item.Updates); apiErr != nil {
-			res.Error = &errorBody{Code: apiErr.code, Message: apiErr.msg}
-		} else {
-			res.Accepted = resp.Accepted
-			res.LastT = resp.LastT
-		}
-		results = append(results, res)
-	}
-	writeJSON(w, v2BulkResponse{Results: results})
 }
