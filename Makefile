@@ -7,7 +7,8 @@ GO ?= go
 
 all: build test
 
-# Pre-merge gate: compile + vet, the full test suite, and the suite
+# Pre-merge gate: compile + vet (including the separate perfbench
+# module, which ./... does not reach), the full test suite, and the suite
 # again under the race detector (the concurrent wrappers and the
 # parallel compute kernels are only honest under -race).
 check: build test race doclint linkcheck
@@ -15,6 +16,7 @@ check: build test race doclint linkcheck
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 test:
 	$(GO) test ./...
@@ -61,12 +63,14 @@ conformance:
 	$(GO) test -race -run 'TestContract|TestRegistryCoverage' ./internal/core ./internal/conformance
 
 # Short fuzzing pass over the stateful structures and the decoders of
-# untrusted bytes (stream frames, WAL records, FD snapshots).
+# untrusted bytes (stream frames, WAL records, FD, DS-FD and sampler
+# snapshots).
 fuzz:
 	$(GO) test -fuzz FuzzEstimate -fuzztime 30s ./internal/eh
 	$(GO) test -fuzz FuzzLMFD -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzSWOR -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzDSFDUnmarshal -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzSamplerUnmarshal -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/obs/hh
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/serve
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 30s ./internal/wal

@@ -94,8 +94,8 @@ func BenchmarkAblationStreamingSketch(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSparseIngest quantifies the sparse-update win on a
-// 1%-dense stream at WIKI-like dimension.
+// BenchmarkAblationSparseIngest quantifies the stream-level sparse-update
+// win (Hash, RP) on a 1%-dense stream at WIKI-like dimension.
 func BenchmarkAblationSparseIngest(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	d := 2000
@@ -136,20 +136,6 @@ func BenchmarkAblationSparseIngest(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p.UpdateSparse(sparse[i%n])
-		}
-	})
-	b.Run("LM-FD/dense", func(b *testing.B) {
-		l := core.NewLMFD(window.Seq(500), d, 16, 6)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l.Update(dense[i%n], float64(i))
-		}
-	})
-	b.Run("LM-FD/sparse", func(b *testing.B) {
-		l := core.NewLMFD(window.Seq(500), d, 16, 6)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l.UpdateSparse(sparse[i%n], float64(i))
 		}
 	})
 }

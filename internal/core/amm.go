@@ -154,12 +154,6 @@ func (a *AMM) Update(row []float64, t float64) { a.inner.Update(row, t) }
 // UpdateBatch feeds stacked rows in order (the WindowSketch contract).
 func (a *AMM) UpdateBatch(rows [][]float64, times []float64) { a.inner.UpdateBatch(rows, times) }
 
-// UpdateSparse feeds one sparse stacked row; both inner frameworks
-// exploit sparsity end-to-end.
-func (a *AMM) UpdateSparse(row mat.SparseRow, t float64) {
-	a.inner.(SparseUpdater).UpdateSparse(row, t)
-}
-
 // UpdatePaired feeds one row pair arriving at timestamp t. The pair is
 // validated against (dA, dB) — the mismatched-dimension failure mode
 // the stacked route cannot distinguish — then stacked and ingested.
@@ -243,6 +237,5 @@ func StackedProduct(q *mat.Dense, dA, dB int) *mat.Dense {
 var (
 	_ WindowSketch       = (*AMM)(nil)
 	_ PairedWindowSketch = (*AMM)(nil)
-	_ SparseUpdater      = (*AMM)(nil)
 	_ Introspector       = (*AMM)(nil)
 )

@@ -236,13 +236,19 @@ func TestAMMSparsePath(t *testing.T) {
 	dense := NewLMAMM(spec, 4, 3, 10, 4)
 	sparse := NewLMAMM(spec, 4, 3, 10, 4)
 	for i, row := range rows {
-		ts := float64(i + 1)
-		dense.Update(row, ts)
-		sparse.UpdateSparse(mat.SparseFromDense(row), ts)
+		dense.Update(row, float64(i+1))
 	}
+	// A caller holding sparse stacked rows densifies them; one batch
+	// must land exactly where per-row ingest does.
+	batch := make([][]float64, len(rows))
+	times := make([]float64, len(rows))
+	for i, row := range rows {
+		batch[i], times[i] = mat.SparseFromDense(row).Dense(7), float64(i+1)
+	}
+	sparse.UpdateBatch(batch, times)
 	q := float64(len(rows))
 	if !dense.Query(q).Equal(sparse.Query(q), 0) {
-		t.Fatal("sparse ingest diverged from dense")
+		t.Fatal("densified sparse batch diverged from per-row ingest")
 	}
 }
 

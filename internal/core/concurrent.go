@@ -78,17 +78,3 @@ var (
 	_ WindowSketch = (*Concurrent)(nil)
 	_ Introspector = (*Concurrent)(nil)
 )
-
-// UpdateSparse forwards a sparse update under the lock. When the
-// wrapped sketch lacks a sparse path the row is densified, which needs
-// the sketch's dimension — unavailable here — so that case panics;
-// wrap a SparseUpdater if you need sparse ingest.
-func (c *Concurrent) UpdateSparse(row mat.SparseRow, t float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	su, ok := c.sk.(SparseUpdater)
-	if !ok {
-		panic("core: wrapped sketch does not support sparse updates")
-	}
-	su.UpdateSparse(row, t)
-}

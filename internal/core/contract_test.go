@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"swsketch/internal/conformance"
+	"swsketch/internal/core"
+	"swsketch/internal/window"
 )
 
 // TestContract runs every registered WindowSketch implementation —
@@ -14,4 +16,18 @@ import (
 // frameworks are in the table).
 func TestContract(t *testing.T) {
 	conformance.Run(t, conformance.Cases())
+}
+
+// TestNoSketchIsSparseUpdater pins the single ingest body: no window
+// sketch (nor the concurrent wrapper) carries a per-row sparse path,
+// so callers holding sparse rows densify them and every row reaches
+// the sketch through UpdateBatch. Callers that still type-assert
+// core.SparseUpdater therefore take their per-row Update fallback.
+func TestNoSketchIsSparseUpdater(t *testing.T) {
+	for _, c := range conformance.Cases() {
+		sk := c.Make(window.Seq(50), 4, 1)
+		if _, ok := sk.(core.SparseUpdater); ok {
+			t.Errorf("%s implements core.SparseUpdater", c.Name)
+		}
+	}
 }

@@ -34,11 +34,12 @@ type WindowSketch interface {
 	// row is copied, never retained.
 	Update(row []float64, t float64)
 	// UpdateBatch feeds rows arriving at the corresponding timestamps,
-	// in order. The visible state afterwards matches calling Update on
-	// each row in turn (including any internal randomness), but the
-	// sketch validates once and amortises per-row bookkeeping across
-	// the batch. Rows and times must have equal length; neither slice
-	// is retained.
+	// in order. It is each sketch's only ingest body: Update is a
+	// one-row UpdateBatch, so the visible state after a batch matches
+	// calling Update on each row in turn (including any internal
+	// randomness), while the sketch validates once and amortises
+	// per-row bookkeeping across the batch. Rows and times must have
+	// equal length; neither slice is retained.
 	UpdateBatch(rows [][]float64, times []float64)
 	// Query returns the approximation B ∈ R^{ℓ×d} for the window
 	// ending at time t (which must be ≥ the latest Update timestamp).
@@ -51,23 +52,14 @@ type WindowSketch interface {
 	Name() string
 }
 
-// checkRowFinite panics when a row contains NaN or ±Inf. Every sketch
-// calls it on ingest: a single non-finite value would otherwise poison
-// Gram accumulations, FD shrinks, and priority draws silently, and the
-// corruption only surfaces queries later — fail loudly at the source
-// instead.
-func checkRowFinite(algo string, row []float64) {
-	for i, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			panic(fmt.Sprintf("core: %s row has non-finite value %v at index %d", algo, v, i))
-		}
-	}
-}
-
-// validateBatch performs the up-front batch checks shared by every
-// UpdateBatch implementation: matching slice lengths, row dimension,
-// and finiteness. Timestamp monotonicity stays with each sketch's
-// per-row ingest, which already enforces it against its own clock.
+// validateBatch performs the up-front checks shared by every
+// UpdateBatch (and so, through the one-row batch, every Update):
+// matching slice lengths, row dimension, and finiteness. A single
+// non-finite value would otherwise poison Gram accumulations, FD
+// shrinks, and priority draws silently, and the corruption only
+// surfaces queries later — fail loudly at the source instead.
+// Timestamp monotonicity stays with each sketch's per-row ingest,
+// which already enforces it against its own clock.
 func validateBatch(algo string, rows [][]float64, times []float64, d int) {
 	if len(rows) != len(times) {
 		panic(fmt.Sprintf("core: %s batch has %d rows but %d timestamps", algo, len(rows), len(times)))
@@ -76,7 +68,11 @@ func validateBatch(algo string, rows [][]float64, times []float64, d int) {
 		if len(r) != d {
 			panic(fmt.Sprintf("core: %s batch row %d length %d, want %d", algo, i, len(r), d))
 		}
-		checkRowFinite(algo, r)
+		for j, v := range r {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				panic(fmt.Sprintf("core: %s row has non-finite value %v at index %d", algo, v, j))
+			}
+		}
 	}
 }
 
@@ -127,11 +123,14 @@ func trackerStats(dst map[string]float64, nt interface{ Size() int }) {
 	}
 }
 
-// SparseUpdater is implemented by window sketches with a sparse ingest
-// path; UpdateSparse(row, t) is equivalent to Update(row.Dense(d), t).
-// LM and DI exploit sparsity end-to-end; the samplers densify on
-// candidate admission (their answers are rows of A, stored dense) but
-// still skip the O(d) norm scan.
+// SparseUpdater is a window sketch with a per-row sparse ingest path,
+// UpdateSparse(row, t) ≡ Update(row.Dense(d), t). No window sketch
+// implements it: every sketch has one ingest body, UpdateBatch, and
+// callers holding sparse rows call Update(row.Dense(d), t) (LM and DI
+// still store rows sparsely inside). The declaration stays because
+// the benchmark module (perfbench) type-asserts it; with no
+// implementer those assertions fall back to per-row Update, which
+// matches a one-block UpdateBatch bit for bit.
 type SparseUpdater interface {
 	WindowSketch
 	UpdateSparse(row mat.SparseRow, t float64)

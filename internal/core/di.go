@@ -216,21 +216,17 @@ func NewDIHash(cfg DIConfig, d int, seed uint64) *DI {
 	})
 }
 
-// Update implements Algorithm 7.1: expire, feed the row into every
-// level's active sketch, and close active blocks on dyadic boundaries
-// when the level-1 block fills up.
+// Update implements Algorithm 7.1 as a one-row batch.
 func (s *DI) Update(row []float64, t float64) {
-	if len(row) != s.d {
-		panic(fmt.Sprintf("core: DI row length %d, want %d", len(row), s.d))
-	}
-	checkRowFinite("DI", row)
-	s.ingest(mat.SparseFromDense(row), t)
+	s.UpdateBatch([][]float64{row}, []float64{t})
 }
 
 // UpdateBatch ingests rows in order after up-front validation —
 // including every row's timestamp and its norm against the declared R,
-// so a refused batch lands no row; the dyadic counter advances exactly
-// as under row-at-a-time Update.
+// so a refused batch lands no row. Each row then runs Algorithm 7.1:
+// expire, feed the row into every level's active sketch (stored
+// sparsely, through the sketches' O(nnz) paths), and close active
+// blocks on dyadic boundaries when the level-1 block fills up.
 func (s *DI) UpdateBatch(rows [][]float64, times []float64) {
 	validateBatch("DI", rows, times, s.d)
 	checkBatchBound("DI", rows, times, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack)
@@ -239,32 +235,12 @@ func (s *DI) UpdateBatch(rows [][]float64, times []float64) {
 	}
 }
 
-// UpdateSparse ingests a sparse row, equivalent to Update on its dense
-// form; the open block stores it sparsely and the per-level active
-// sketches use their O(nnz) paths. The row's slices are copied.
-func (s *DI) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= s.d {
-		panic(fmt.Sprintf("core: DI sparse row index %d, dimension %d", m, s.d))
-	}
-	checkRowFinite("DI", row.Val)
-	idx := make([]int, len(row.Idx))
-	val := make([]float64, len(row.Val))
-	copy(idx, row.Idx)
-	copy(val, row.Val)
-	s.ingest(mat.SparseRow{Idx: idx, Val: val}, t)
-}
-
-// ingest owns r (already copied).
+// ingest owns r (already copied); UpdateBatch has checked its
+// timestamp and its norm against R.
 func (s *DI) ingest(r mat.SparseRow, t float64) {
-	if s.seen && t < s.lastT {
-		panic(fmt.Sprintf("core: DI timestamp %v precedes %v", t, s.lastT))
-	}
 	w := r.SqNorm()
 	if w == 0 {
 		return // zero rows are disallowed on sequence windows; carry no mass
-	}
-	if w > s.cfg.R*s.cfg.RSlack {
-		panic(fmt.Sprintf("core: DI row squared norm %v exceeds declared R=%v", w, s.cfg.R))
 	}
 	if s.normMin == 0 || w < s.normMin {
 		s.normMin = w

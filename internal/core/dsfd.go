@@ -194,38 +194,23 @@ func (s *DSFD) theta() float64 {
 	return float64(s.cfg.N) * s.rEff() / float64(s.cfg.Ell)
 }
 
-// Update feeds one row; t must be the row's stream index (sequence
-// windows only, like DI).
+// Update feeds one row as a one-row batch; t must be the row's stream
+// index (sequence windows only, like DI).
 func (s *DSFD) Update(row []float64, t float64) {
-	if len(row) != s.d {
-		panic(fmt.Sprintf("core: DSFD row length %d, want %d", len(row), s.d))
-	}
-	checkRowFinite("DSFD", row)
-	s.ingest(row, rowSqNorm(row), t)
+	s.UpdateBatch([][]float64{row}, []float64{t})
 }
 
 // UpdateBatch ingests rows in order after up-front validation —
 // including every row's timestamp and, with a declared R, its norm, so
-// a refused batch lands no row; dump and snapshot decisions fall
-// exactly as under row-at-a-time Update, so the resulting state is
-// bit-identical.
+// a refused batch lands no row. Dump and snapshot decisions fall per
+// row, so the resulting state does not depend on how the stream is
+// batched.
 func (s *DSFD) UpdateBatch(rows [][]float64, times []float64) {
 	validateBatch("DSFD", rows, times, s.d)
 	checkBatchBound("DSFD", rows, times, s.lastT, s.seen, s.cfg.R, s.cfg.RSlack)
 	for i, r := range rows {
 		s.ingest(r, rowSqNorm(r), times[i])
 	}
-}
-
-// UpdateSparse ingests a sparse row, equivalent to Update on its dense
-// form (the frame sketch stores rows dense, so the row is scattered).
-func (s *DSFD) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= s.d {
-		panic(fmt.Sprintf("core: DSFD sparse row index %d, dimension %d", m, s.d))
-	}
-	checkRowFinite("DSFD", row.Val)
-	dense := row.Dense(s.d)
-	s.ingest(dense, row.SqNorm(), t)
 }
 
 func rowSqNorm(row []float64) float64 {
@@ -236,16 +221,11 @@ func rowSqNorm(row []float64) float64 {
 	return w
 }
 
-// ingest does not retain row.
+// ingest does not retain row; UpdateBatch has checked its timestamp
+// and, with a declared R, its norm.
 func (s *DSFD) ingest(row []float64, w, t float64) {
-	if s.seen && t < s.lastT {
-		panic(fmt.Sprintf("core: DSFD timestamp %v precedes %v", t, s.lastT))
-	}
 	if w == 0 {
 		return // zero rows carry no mass (sequence windows, as in DI)
-	}
-	if s.cfg.R > 0 && w > s.cfg.R*s.cfg.RSlack {
-		panic(fmt.Sprintf("core: DSFD row squared norm %v exceeds declared R=%v", w, s.cfg.R))
 	}
 	if w > s.rSeen {
 		s.rSeen = w
@@ -590,7 +570,6 @@ func (s *DSFD) Stats() map[string]float64 {
 }
 
 var (
-	_ WindowSketch  = (*DSFD)(nil)
-	_ Introspector  = (*DSFD)(nil)
-	_ SparseUpdater = (*DSFD)(nil)
+	_ WindowSketch = (*DSFD)(nil)
+	_ Introspector = (*DSFD)(nil)
 )

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"swsketch/internal/binenc"
 	"swsketch/internal/stream"
 	"swsketch/internal/window"
 )
@@ -201,6 +202,94 @@ func FuzzSWOR(f *testing.F) {
 			b := s.Query(float64(i))
 			if v := b.FrobeniusSq(); math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("non-finite query mass")
+			}
+		}
+	})
+}
+
+// FuzzSamplerUnmarshal hardens the SWR and SWOR snapshot decoders (both
+// reachable from snapshot uploads and spill files). Seeds are real
+// snapshots of SWR, SWOR and SWOR-ALL, torn and truncated mutants, and
+// a 49-byte SWR header claiming 2^24 queues. Each input goes to both
+// decoders: decoding must never panic, and any accepted blob must
+// re-marshal as a byte-level fixed point.
+func FuzzSamplerUnmarshal(f *testing.F) {
+	rng := rand.New(rand.NewSource(19))
+	snap := func(sk interface {
+		WindowSketch
+		MarshalBinary() ([]byte, error)
+	}, rows int) []byte {
+		for i := 0; i < rows; i++ {
+			sk.Update(randRow(rng, 3), float64(i))
+		}
+		b, err := sk.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	for _, seed := range [][]byte{
+		snap(NewSWR(window.Seq(20), 3, 3, 1), 0),
+		snap(NewSWR(window.Seq(20), 3, 3, 1), 50),
+		snap(NewSWOR(window.Seq(20), 3, 3, 2), 50),
+		snap(NewSWORAll(window.TimeSpan(7), 3, 3, 3), 50),
+	} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2]) // torn mid-payload
+		f.Add(seed[:9])           // truncated just past the magic
+	}
+	w := binenc.NewWriter()
+	w.U64(swrMagic)
+	writeSpec(w, window.Seq(10))
+	w.Int(4)       // d
+	w.Int(1 << 24) // ell: 403 MB of queues if allocated up front
+	w.F64(0)
+	w.Bool(false)
+	f.Add(w.Bytes())
+	// A well-formed SWR prefix whose norm-tracker blob claims MaxInt32
+	// items in 24 bytes.
+	nb := binenc.NewWriter()
+	writeSpec(nb, window.Seq(10))
+	nb.Int(math.MaxInt32)
+	w = binenc.NewWriter()
+	w.U64(swrMagic)
+	writeSpec(w, window.Seq(10))
+	w.Int(3) // d
+	w.Int(1) // ell
+	w.F64(0)
+	w.Bool(false)
+	w.Int(0) // empty queue
+	w.Blob(nb.Bytes())
+	f.Add(w.Bytes())
+
+	type sampler interface {
+		WindowSketch
+		MarshalBinary() ([]byte, error)
+		UnmarshalBinary([]byte) error
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, mk := range []func() sampler{
+			func() sampler { return new(SWR) },
+			func() sampler { return new(SWOR) },
+		} {
+			s := mk()
+			if err := s.UnmarshalBinary(data); err != nil {
+				continue // rejected blobs only need to fail cleanly
+			}
+			re, err := s.MarshalBinary()
+			if err != nil {
+				t.Fatalf("re-marshal of accepted blob failed: %v", err)
+			}
+			s2 := mk()
+			if err := s2.UnmarshalBinary(re); err != nil {
+				t.Fatalf("decode of re-marshal failed: %v", err)
+			}
+			re2, err := s2.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(re, re2) {
+				t.Fatal("marshal is not stable across a decode cycle")
 			}
 		}
 	})

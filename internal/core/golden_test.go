@@ -51,14 +51,17 @@ func TestLMFDGoldenDeterminism(t *testing.T) {
 		t.Fatal("LM-FD not reproducible across runs")
 	}
 
-	// And across the sparse ingest path.
+	// And across one batch holding the whole stream.
 	rng3 := rand.New(rand.NewSource(12345))
 	l3 := NewLMFD(window.Seq(200), 6, 12, 4)
-	for i := 0; i < 1000; i++ {
-		l3.UpdateSparse(mat.SparseFromDense(randRow(rng3, 6)), float64(i))
+	rows := make([][]float64, 1000)
+	times := make([]float64, 1000)
+	for i := range rows {
+		rows[i], times[i] = randRow(rng3, 6), float64(i)
 	}
+	l3.UpdateBatch(rows, times)
 	if hashMatrix(b) != hashMatrix(l3.Query(999)) {
-		t.Fatal("LM-FD sparse path not bit-identical to dense path")
+		t.Fatal("LM-FD batch ingest not bit-identical to per-row ingest")
 	}
 }
 

@@ -177,40 +177,22 @@ func NewLMHash(spec window.Spec, d, ell, b int, seed uint64) *LM {
 	})
 }
 
-// Update implements Algorithm 6.1.
+// Update implements Algorithm 6.1 as a one-row batch.
 func (l *LM) Update(row []float64, t float64) {
-	if len(row) != l.d {
-		panic(fmt.Sprintf("core: LM row length %d, want %d", len(row), l.d))
-	}
-	checkRowFinite("LM", row)
-	l.ingest(mat.SparseFromDense(row), t)
+	l.UpdateBatch([][]float64{row}, []float64{t})
 }
 
 // UpdateBatch ingests rows in order with one up-front validation pass.
-// Expiry and level rebalancing run per row exactly as under Update, so
-// the resulting block structure (and hence every query answer) is
-// identical to row-at-a-time ingestion.
+// Expiry and level rebalancing run per row, so the resulting block
+// structure (and hence every query answer) does not depend on how the
+// stream is batched. Raw rows are stored sparsely (SparseFromDense
+// drops zeros), the memory and sketch-feed win for high-dimensional
+// sparse streams.
 func (l *LM) UpdateBatch(rows [][]float64, times []float64) {
 	validateBatch("LM", rows, times, l.d)
 	for i, r := range rows {
 		l.ingest(mat.SparseFromDense(r), times[i])
 	}
-}
-
-// UpdateSparse ingests a sparse row, equivalent to Update on its dense
-// form but storing the raw-block copy sparsely — the memory and
-// sketch-feed win for high-dimensional sparse streams. The row's
-// slices are copied.
-func (l *LM) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= l.d {
-		panic(fmt.Sprintf("core: LM sparse row index %d, dimension %d", m, l.d))
-	}
-	checkRowFinite("LM", row.Val)
-	idx := make([]int, len(row.Idx))
-	val := make([]float64, len(row.Val))
-	copy(idx, row.Idx)
-	copy(val, row.Val)
-	l.ingest(mat.SparseRow{Idx: idx, Val: val}, t)
 }
 
 // ingest owns r (already copied).

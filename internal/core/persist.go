@@ -129,12 +129,21 @@ func (s *SWR) UnmarshalBinary(data []byte) error {
 	if d < 1 || ell < 1 {
 		return fmt.Errorf("core: SWR snapshot shape ell=%d d=%d", ell, d)
 	}
+	// Each queue encodes at least its 8-byte count: reject a claimed ℓ
+	// the payload cannot hold before NewSWR allocates ℓ queues.
+	if ell > r.Rest()/8 {
+		return fmt.Errorf("core: SWR snapshot claims %d queues in %d bytes", ell, r.Rest())
+	}
 	restored := NewSWR(spec, ell, d, time.Now().UnixNano())
 	restored.lastT, restored.seen = lastT, seen
 	for q := 0; q < ell; q++ {
 		n := r.Int()
 		if r.Err() != nil {
 			return fmt.Errorf("core: SWR snapshot: %w", r.Err())
+		}
+		// A candidate encodes its d-float row plus four 8-byte fields.
+		if n > r.Rest()/(32+8*d) {
+			return fmt.Errorf("core: SWR snapshot queue claims %d candidates in %d bytes", n, r.Rest())
 		}
 		items := make([]candidate, 0, n)
 		for i := 0; i < n; i++ {

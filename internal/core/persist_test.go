@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"swsketch/internal/binenc"
 	"swsketch/internal/window"
 )
 
@@ -181,5 +183,34 @@ func TestSWRSnapshotRequiresExactNorms(t *testing.T) {
 	s.SetNormTracker(window.NewEHNorms(window.Seq(10), 0.1))
 	if _, err := s.MarshalBinary(); err == nil {
 		t.Fatal("expected error for EH-tracked SWR snapshot")
+	}
+}
+
+// TestSWRSnapshotQueueCountBomb decodes a 49-byte SWR header claiming
+// ℓ = 2^24 candidate queues and nothing after it. The decoder must
+// refuse the shape from the bytes it has, before allocating the
+// queues (24 B each, 403 MB here; up to ~51 GB for ℓ near MaxInt32).
+func TestSWRSnapshotQueueCountBomb(t *testing.T) {
+	w := binenc.NewWriter()
+	w.U64(swrMagic)
+	writeSpec(w, window.Seq(10))
+	w.Int(4)       // d
+	w.Int(1 << 24) // ell
+	w.F64(0)       // lastT
+	w.Bool(false)  // seen
+	blob := w.Bytes()
+	if len(blob) != 49 {
+		t.Fatalf("blob is %d bytes, want 49", len(blob))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var s SWR
+	err := s.UnmarshalBinary(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("49-byte blob claiming 2^24 queues was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("decoding the rejected blob allocated %d bytes", grew)
 	}
 }

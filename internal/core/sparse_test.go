@@ -22,6 +22,43 @@ func sparseStream(rng *rand.Rand, n, d int) ([][]float64, []mat.SparseRow) {
 	return dense, sparse
 }
 
+// feedSparseBatched ingests a sparse stream the way a caller holding
+// sparse rows does — densified with row.Dense(d) — in uneven batches,
+// so the comparison against row-at-a-time dense ingest also crosses
+// batch boundaries at arbitrary points.
+func feedSparseBatched(sk WindowSketch, sparse []mat.SparseRow, d int, t0 float64) {
+	for lo := 0; lo < len(sparse); {
+		hi := lo + 1 + lo%37
+		if hi > len(sparse) {
+			hi = len(sparse)
+		}
+		rows := make([][]float64, 0, hi-lo)
+		times := make([]float64, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			rows = append(rows, sparse[i].Dense(d))
+			times = append(times, t0+float64(i))
+		}
+		sk.UpdateBatch(rows, times)
+		lo = hi
+	}
+}
+
+// assertSparseStorage checks that raw rows are held sparsely: each
+// stored row keeps only its nonzeros.
+func assertSparseStorage(t *testing.T, name string, raw []mat.SparseRow) {
+	t.Helper()
+	if len(raw) == 0 {
+		t.Fatalf("%s holds no raw rows to inspect", name)
+	}
+	for i, r := range raw {
+		for _, v := range r.Val {
+			if v == 0 {
+				t.Fatalf("%s raw row %d stores an explicit zero: %+v", name, i, r)
+			}
+		}
+	}
+}
+
 func TestLMSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := 16
@@ -30,15 +67,22 @@ func TestLMSparseMatchesDense(t *testing.T) {
 	l1, l2 := NewLMFD(spec, d, 16, 4), NewLMFD(spec, d, 16, 4)
 	for i := range dense {
 		l1.Update(dense[i], float64(i))
-		l2.UpdateSparse(sparse[i], float64(i))
 	}
-	// LM-FD is deterministic: the two ingest paths must agree exactly.
-	if !l1.Query(1199).Equal(l2.Query(1199), 1e-12) {
-		t.Fatal("LM sparse path diverges from dense path")
+	feedSparseBatched(l2, sparse, d, 0)
+	// LM-FD is deterministic: the two ingest routes must agree exactly.
+	if !l1.Query(1199).Equal(l2.Query(1199), 0) {
+		t.Fatal("LM densified sparse batches diverge from dense rows")
 	}
 	if l1.RowsStored() != l2.RowsStored() {
 		t.Fatalf("rows stored differ: %d vs %d", l1.RowsStored(), l2.RowsStored())
 	}
+	raw := append([]mat.SparseRow(nil), l2.active.raw...)
+	for _, lv := range l2.levels {
+		for _, blk := range lv {
+			raw = append(raw, blk.raw...)
+		}
+	}
+	assertSparseStorage(t, "LM", raw)
 }
 
 func TestDISparseMatchesDense(t *testing.T) {
@@ -49,16 +93,21 @@ func TestDISparseMatchesDense(t *testing.T) {
 	d1, d2 := NewDIFD(cfg, d), NewDIFD(cfg, d)
 	for i := range dense {
 		d1.Update(dense[i], float64(i))
-		d2.UpdateSparse(sparse[i], float64(i))
 	}
-	if !d1.Query(899).Equal(d2.Query(899), 1e-12) {
-		t.Fatal("DI sparse path diverges from dense path")
+	feedSparseBatched(d2, sparse, d, 0)
+	if !d1.Query(899).Equal(d2.Query(899), 0) {
+		t.Fatal("DI densified sparse batches diverge from dense rows")
 	}
+	// The open block holds rows raw until it outgrows rawCap.
+	d3 := NewDIFD(cfg, d)
+	feedSparseBatched(d3, sparse[:20], d, 0)
+	assertSparseStorage(t, "DI", d3.raw)
 }
 
 func TestSamplerSparseEquivalence(t *testing.T) {
 	// Samplers are randomised; with identical seeds and identical
-	// admitted rows the resulting candidate sets match.
+	// admitted rows the resulting candidate sets match however the
+	// stream is batched.
 	rng := rand.New(rand.NewSource(3))
 	d := 10
 	dense, sparse := sparseStream(rng, 500, d)
@@ -68,35 +117,15 @@ func TestSamplerSparseEquivalence(t *testing.T) {
 	for i := range dense {
 		tt := float64(i)
 		s1.Update(dense[i], tt)
-		s2.UpdateSparse(sparse[i], tt)
 		w1.Update(dense[i], tt)
-		w2.UpdateSparse(sparse[i], tt)
 	}
-	if !s1.Query(499).Equal(s2.Query(499), 1e-12) {
-		t.Fatal("SWR sparse path diverges")
+	feedSparseBatched(s2, sparse, d, 0)
+	feedSparseBatched(w2, sparse, d, 0)
+	if !s1.Query(499).Equal(s2.Query(499), 0) {
+		t.Fatal("SWR densified sparse batches diverge")
 	}
-	if !w1.Query(499).Equal(w2.Query(499), 1e-12) {
-		t.Fatal("SWOR sparse path diverges")
-	}
-}
-
-func TestSparseUpdaterValidation(t *testing.T) {
-	row := mat.NewSparseRow([]int{99}, []float64{1}, -1)
-	for name, sk := range map[string]SparseUpdater{
-		"SWR":   NewSWR(window.Seq(5), 2, 4, 1),
-		"SWOR":  NewSWOR(window.Seq(5), 2, 4, 1),
-		"LM-FD": NewLMFD(window.Seq(5), 4, 4, 3),
-		"DI-FD": NewDIFD(DIConfig{N: 5, R: 100, L: 3, Ell: 4, RSlack: 2}, 4),
-	} {
-		sk := sk
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic for out-of-range index", name)
-				}
-			}()
-			sk.UpdateSparse(row, 0)
-		}()
+	if !w1.Query(499).Equal(w2.Query(499), 0) {
+		t.Fatal("SWOR densified sparse batches diverge")
 	}
 }
 
@@ -106,7 +135,7 @@ func TestLMSparseSnapshotRoundTrip(t *testing.T) {
 	_, sparse := sparseStream(rng, 300, 8)
 	l := NewLMFD(window.Seq(100), 8, 8, 4)
 	for i, r := range sparse {
-		l.UpdateSparse(r, float64(i))
+		l.Update(r.Dense(8), float64(i))
 	}
 	data, err := l.MarshalBinary()
 	if err != nil {
@@ -119,20 +148,4 @@ func TestLMSparseSnapshotRoundTrip(t *testing.T) {
 	if !l.Query(299).Equal(restored.Query(299), 1e-12) {
 		t.Fatal("sparse snapshot round trip diverges")
 	}
-}
-
-func TestConcurrentSparsePassthrough(t *testing.T) {
-	c := NewConcurrent(NewLMFD(window.Seq(10), 3, 4, 3))
-	c.UpdateSparse(mat.NewSparseRow([]int{1}, []float64{2}, 3), 0)
-	if b := c.Query(0); b.FrobeniusSq() != 4 {
-		t.Fatalf("sparse update lost: mass %v", b.FrobeniusSq())
-	}
-	// Wrapping a non-sparse sketch panics on sparse use.
-	bad := NewConcurrent(NewBest(window.Seq(10), 2, 3))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	bad.UpdateSparse(mat.NewSparseRow([]int{0}, []float64{1}, 3), 0)
 }

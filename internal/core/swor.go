@@ -91,22 +91,17 @@ func NewSWORAll(spec window.Spec, ell, d int, seed int64) *SWOR {
 // first Update.
 func (s *SWOR) SetNormTracker(nt window.NormTracker) { s.norms = nt }
 
-// Update feeds one row (Algorithm 5.2): expire, bump the rank of every
-// candidate the new priority beats, evict ranks beyond ℓ, append.
+// Update feeds one row (Algorithm 5.2) as a one-row batch.
 func (s *SWOR) Update(row []float64, t float64) {
-	if len(row) != s.d {
-		panic(fmt.Sprintf("core: SWOR row length %d, want %d", len(row), s.d))
-	}
-	checkRowFinite("SWOR", row)
-	if w := s.ingestRow(row, t); w > 0 {
-		s.norms.Add(t, w)
-	}
+	s.UpdateBatch([][]float64{row}, []float64{t})
 }
 
 // UpdateBatch feeds rows in order, validating once and folding the
-// batch's masses into the norm tracker in one call; priority keys are
-// drawn in the same order as repeated Update calls, so the candidate
-// queue is identical.
+// batch's masses into the norm tracker in one call. Each row runs one
+// Algorithm 5.2 step — expire, bump the rank of every candidate the
+// new priority beats, evict ranks beyond ℓ, append — with priority
+// keys drawn in row order, so the candidate queue does not depend on
+// how the stream is batched.
 func (s *SWOR) UpdateBatch(rows [][]float64, times []float64) {
 	validateBatch("SWOR", rows, times, s.d)
 	ts := make([]float64, 0, len(rows))
@@ -256,15 +251,3 @@ func (s *SWOR) Name() string {
 }
 
 var _ WindowSketch = (*SWOR)(nil)
-
-// UpdateSparse ingests a sparse row (densified on admission; see
-// SWR.UpdateSparse).
-func (s *SWOR) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= s.d {
-		panic(fmt.Sprintf("core: SWOR sparse row index %d, dimension %d", m, s.d))
-	}
-	checkRowFinite("SWOR", row.Val)
-	s.Update(row.Dense(s.d), t)
-}
-
-var _ SparseUpdater = (*SWOR)(nil)

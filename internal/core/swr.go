@@ -112,23 +112,17 @@ func NewSWR(spec window.Spec, ell, d int, seed int64) *SWR {
 // exponential-histogram approximation). Call before the first Update.
 func (s *SWR) SetNormTracker(nt window.NormTracker) { s.norms = nt }
 
-// Update feeds one row. Zero rows carry no sampling mass and are only
-// used to advance the expiry clock.
+// Update feeds one row as a one-row batch. Zero rows carry no sampling
+// mass and are only used to advance the expiry clock.
 func (s *SWR) Update(row []float64, t float64) {
-	if len(row) != s.d {
-		panic(fmt.Sprintf("core: SWR row length %d, want %d", len(row), s.d))
-	}
-	checkRowFinite("SWR", row)
-	if w := s.ingestRow(row, t); w > 0 {
-		s.norms.Add(t, w)
-	}
+	s.UpdateBatch([][]float64{row}, []float64{t})
 }
 
 // UpdateBatch feeds rows in order, validating once and folding the
 // whole batch's masses into the norm tracker in one call (one EH
 // canonicalization instead of len(rows)). Priority keys are drawn in
-// the same order as repeated Update calls, so the candidate queues —
-// and with the exact tracker, every query answer — are identical.
+// row order, so the candidate queues — and with the exact tracker,
+// every query answer — do not depend on how the stream is batched.
 func (s *SWR) UpdateBatch(rows [][]float64, times []float64) {
 	validateBatch("SWR", rows, times, s.d)
 	ts := make([]float64, 0, len(rows))
@@ -258,16 +252,3 @@ var (
 	_ WindowSketch = (*SWR)(nil)
 	_ Introspector = (*SWR)(nil)
 )
-
-// UpdateSparse ingests a sparse row; the candidate copy is stored
-// dense (sampler answers are rows of A), but norm computation and
-// admission use the sparse form.
-func (s *SWR) UpdateSparse(row mat.SparseRow, t float64) {
-	if m := row.MaxIdx(); m >= s.d {
-		panic(fmt.Sprintf("core: SWR sparse row index %d, dimension %d", m, s.d))
-	}
-	checkRowFinite("SWR", row.Val)
-	s.Update(row.Dense(s.d), t)
-}
-
-var _ SparseUpdater = (*SWR)(nil)

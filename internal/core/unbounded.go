@@ -39,14 +39,10 @@ func NewUnboundedFDOpts(ell, d int, o stream.FDOpts) *Unbounded {
 	return NewUnbounded("STREAM-FD", d, stream.NewFDOpts(ell, d, o))
 }
 
-// Update feeds the row to the streaming sketch; the timestamp is
-// ignored.
-func (u *Unbounded) Update(row []float64, _ float64) {
-	if len(row) != u.d {
-		panic(fmt.Sprintf("core: Unbounded row length %d, want %d", len(row), u.d))
-	}
-	checkRowFinite("Unbounded", row)
-	u.sk.Update(row)
+// Update feeds the row to the streaming sketch as a one-row batch; the
+// timestamp is ignored.
+func (u *Unbounded) Update(row []float64, t float64) {
+	u.UpdateBatch([][]float64{row}, []float64{t})
 }
 
 // UpdateBatch feeds the rows to the streaming sketch's bulk path; the

@@ -24,23 +24,14 @@ func NewZero(d int) *Zero {
 	return &Zero{d: d}
 }
 
-// Update discards the row.
+// Update discards the row as a one-row batch.
 func (z *Zero) Update(row []float64, t float64) {
-	if len(row) != z.d {
-		panic(fmt.Sprintf("core: Zero row length %d, want %d", len(row), z.d))
-	}
+	z.UpdateBatch([][]float64{row}, []float64{t})
 }
 
-// UpdateBatch discards the rows after the same length check as Update.
+// UpdateBatch discards the rows after the shared batch validation.
 func (z *Zero) UpdateBatch(rows [][]float64, times []float64) {
-	if len(rows) != len(times) {
-		panic(fmt.Sprintf("core: Zero batch has %d rows but %d timestamps", len(rows), len(times)))
-	}
-	for i, r := range rows {
-		if len(r) != z.d {
-			panic(fmt.Sprintf("core: Zero batch row %d length %d, want %d", i, len(r), z.d))
-		}
-	}
+	validateBatch("Zero", rows, times, z.d)
 }
 
 // Query returns the empty approximation.

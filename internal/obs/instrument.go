@@ -13,18 +13,16 @@ import (
 // query latency histograms, row counters, a rows-stored gauge, and —
 // when the sketch implements core.Introspector — a dynamic gauge set
 // exposing its internals. Counters count every row, but per-row update
-// timings are sampled (every 16th row by default; see WithSampleEvery)
-// because a clock read pair costs a meaningful fraction of a cheap
-// sampler update. Batch and query calls are always timed — their cost
-// amortises the clock reads. Scrape-time callbacks (rows stored,
-// internals) go through the Sync option so a /metrics scrape can
-// serialise against the writer.
+// timings are sampled (every 16th row) because a clock read pair costs
+// a meaningful fraction of a cheap sampler update. Batch and query
+// calls are always timed — their cost amortises the clock reads.
+// Scrape-time callbacks (rows stored, internals) go through the Sync
+// option so a /metrics scrape can serialise against the writer.
 type Instrumented struct {
 	sk   core.WindowSketch
 	sync func(func())
 
-	n    atomic.Uint64
-	mask uint64 // per-row timing sampled when (n-1)&mask == 0
+	n atomic.Uint64 // per-row Update calls; timed when (n-1)&sampleMask == 0
 
 	ingestRows    *Counter
 	ingestBatches *Counter
@@ -43,20 +41,10 @@ func WithSync(sync func(func())) InstrumentOption {
 	return func(i *Instrumented) { i.sync = sync }
 }
 
-// WithSampleEvery times one in every k per-row updates (k rounds up to
-// a power of two; k=1 times every row). The default is 16, which keeps
-// the decorator's overhead under a few percent even for sub-µs sampler
+// sampleMask times one in every 16 per-row updates, which keeps the
+// decorator's overhead under a few percent even for sub-µs sampler
 // updates while still populating the latency histogram.
-func WithSampleEvery(k int) InstrumentOption {
-	if k < 1 {
-		panic("obs: sample interval must be >= 1")
-	}
-	m := uint64(1)
-	for m < uint64(k) {
-		m <<= 1
-	}
-	return func(i *Instrumented) { i.mask = m - 1 }
-}
+const sampleMask = 15
 
 // NewInstrumented wraps sk, registering its instruments in reg under
 // the label algo=<sk.Name()>. The wrapped sketch must not be updated
@@ -66,7 +54,6 @@ func NewInstrumented(sk core.WindowSketch, reg *Registry, opts ...InstrumentOpti
 	i := &Instrumented{
 		sk:   sk,
 		sync: func(f func()) { f() },
-		mask: 15,
 		ingestRows: reg.Counter("swsketch_ingest_rows_total",
 			"Rows ingested into the sketch.", algo),
 		ingestBatches: reg.Counter("swsketch_ingest_batches_total",
@@ -112,7 +99,7 @@ func (i *Instrumented) SetTracer(tr *trace.Tracer) {
 // counter is exact.
 func (i *Instrumented) Update(row []float64, t float64) {
 	i.ingestRows.Inc()
-	if (i.n.Add(1)-1)&i.mask == 0 {
+	if (i.n.Add(1)-1)&sampleMask == 0 {
 		start := time.Now()
 		i.sk.Update(row, t)
 		i.updateSeconds.Observe(time.Since(start).Seconds())
@@ -130,23 +117,6 @@ func (i *Instrumented) UpdateBatch(rows [][]float64, times []float64) {
 	i.updateSeconds.Observe(time.Since(start).Seconds())
 	i.ingestRows.Add(uint64(len(rows)))
 	i.ingestBatches.Inc()
-}
-
-// UpdateSparse forwards a sparse update, panicking like
-// core.Concurrent when the underlying sketch has no sparse path.
-func (i *Instrumented) UpdateSparse(row mat.SparseRow, t float64) {
-	su, ok := i.sk.(core.SparseUpdater)
-	if !ok {
-		panic("obs: wrapped sketch does not support sparse updates")
-	}
-	i.ingestRows.Inc()
-	if (i.n.Add(1)-1)&i.mask == 0 {
-		start := time.Now()
-		su.UpdateSparse(row, t)
-		i.updateSeconds.Observe(time.Since(start).Seconds())
-		return
-	}
-	su.UpdateSparse(row, t)
 }
 
 // Query implements core.WindowSketch.

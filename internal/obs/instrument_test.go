@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"swsketch/internal/core"
-	"swsketch/internal/mat"
 	"swsketch/internal/window"
 )
 
@@ -40,7 +39,7 @@ func TestInstrumentedIsTransparent(t *testing.T) {
 
 func TestInstrumentedRecordsMetrics(t *testing.T) {
 	reg := NewRegistry()
-	sk := NewInstrumented(core.NewLMFD(window.Seq(100), 3, 8, 4), reg, WithSampleEvery(1))
+	sk := NewInstrumented(core.NewLMFD(window.Seq(100), 3, 8, 4), reg)
 
 	rows := make([][]float64, 32)
 	times := make([]float64, 32)
@@ -50,14 +49,13 @@ func TestInstrumentedRecordsMetrics(t *testing.T) {
 	}
 	sk.UpdateBatch(rows, times)
 	sk.Update([]float64{1, 2, 3}, 32)
-	sk.UpdateSparse(mat.SparseRow{Idx: []int{0}, Val: []float64{2}}, 33)
 	sk.Query(33)
 
 	out := reg.Expose()
 	for _, want := range []string{
-		`swsketch_ingest_rows_total{algo="LM-FD"} 34`,
+		`swsketch_ingest_rows_total{algo="LM-FD"} 33`,
 		`swsketch_ingest_batches_total{algo="LM-FD"} 1`,
-		`swsketch_update_seconds_count{algo="LM-FD"} 3`,
+		`swsketch_update_seconds_count{algo="LM-FD"} 2`,
 		`swsketch_query_seconds_count{algo="LM-FD"} 1`,
 		`swsketch_rows_stored{algo="LM-FD"}`,
 		`swsketch_internal{algo="LM-FD",stat="levels"}`,

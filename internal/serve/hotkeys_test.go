@@ -76,12 +76,12 @@ func TestHotkeysIngestFunnel(t *testing.T) {
 	frame := make([]byte, 4, 4+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	frame = append(frame, payload...)
-	resp, err := http.Post(ts.URL+"/v2/tenants/default/stream", ContentTypeFrames,
-		strings.NewReader(string(frame)))
-	if err != nil {
-		t.Fatal(err)
+	// Read the frame's ack before looking at the sidecar: the handler
+	// commits (and observes) the frame's rows before it writes the ack.
+	_, acks := streamPost(t, ts.URL+"/v2/tenants/default/stream", ContentTypeFrames, frame)
+	if len(acks) != 1 || acks[0].Error != nil || acks[0].Accepted != 2 {
+		t.Fatalf("frame acks %+v, want one ack accepting 2 rows", acks)
 	}
-	resp.Body.Close()
 
 	snap := fetchSnapshot(t, ts.URL)
 	if len(snap.TopK) != 1 {
@@ -147,12 +147,12 @@ func TestHotkeysEvents(t *testing.T) {
 	def.Dequeue()
 
 	// A malformed NDJSON line on an accepted stream fails the block.
-	resp, err = http.Post(ts.URL+"/v2/tenants/default/stream", ContentTypeNDJSON,
-		strings.NewReader("{not json\n"))
-	if err != nil {
-		t.Fatal(err)
+	// Read its error ack: the handler records the event before acking.
+	_, acks := streamPost(t, ts.URL+"/v2/tenants/default/stream", ContentTypeNDJSON,
+		[]byte("{not json\n"))
+	if len(acks) != 1 || acks[0].Error == nil {
+		t.Fatalf("bad-line acks %+v, want one error ack", acks)
 	}
-	resp.Body.Close()
 
 	// A bulk item for a tenant that does not exist.
 	postJSON(t, ts.URL+"/v2/rows",

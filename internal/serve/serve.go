@@ -125,6 +125,7 @@ type Server struct {
 
 	wal         *wal.Log
 	walDamaged  atomic.Bool
+	walFailed   atomic.Int64 // records the last replay's applier refused
 	streamQueue int
 
 	hot *hh.Sidecar
@@ -663,6 +664,10 @@ type walHealth struct {
 	// a mid-segment tear): recovery stopped early on that shard and the
 	// server is serving a possibly incomplete restore.
 	Damaged bool `json:"damaged,omitempty"`
+	// Failed counts logged records that replay could not apply (for
+	// example a block over a di-fd tenant's declared R: the log keeps
+	// it, the sketch refuses it again). It does not change Status.
+	Failed int64 `json:"failed,omitempty"`
 }
 
 // handleHealth reports the default tenant's accuracy health. Without
@@ -673,7 +678,7 @@ type walHealth struct {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{Status: "ok"}
 	if s.wal != nil {
-		resp.WAL = &walHealth{Replayed: s.wal.Replayed(), Damaged: s.walDamaged.Load()}
+		resp.WAL = &walHealth{Replayed: s.wal.Replayed(), Damaged: s.walDamaged.Load(), Failed: s.walFailed.Load()}
 	}
 	if s.hot != nil {
 		resp.HotKeys = &hotkeysHealth{

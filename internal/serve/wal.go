@@ -40,7 +40,8 @@ func (s *Server) WAL() *wal.Log { return s.wal }
 // the adopted default tenant land in its fresh sketch) and before the
 // server takes traffic. Corruption does not fail recovery: it is
 // reported in the returned stats and on the health endpoints as
-// degraded. Without WithWAL it is a no-op.
+// degraded. Records the registry refused to apply are counted there
+// too, as "failed". Without WithWAL it is a no-op.
 func (s *Server) RecoverWAL() (wal.Stats, error) {
 	if s.wal == nil {
 		return wal.Stats{}, nil
@@ -49,6 +50,7 @@ func (s *Server) RecoverWAL() (wal.Stats, error) {
 	if err != nil {
 		return st, err
 	}
+	s.walFailed.Store(int64(st.Failed))
 	if st.Damaged {
 		s.walDamaged.Store(true)
 	}

@@ -414,6 +414,11 @@ func (x *ExactNorms) UnmarshalBinary(data []byte) error {
 	if size <= 0 {
 		return fmt.Errorf("window: norms snapshot has bad size %v", size)
 	}
+	// Each item encodes two 8-byte floats: reject a count the payload
+	// cannot hold before looping (or appending) that many times.
+	if n > r.Rest()/16 {
+		return fmt.Errorf("window: norms snapshot claims %d items in %d bytes", n, r.Rest())
+	}
 	restored := ExactNorms{spec: Spec{Kind: kind, Size: size}}
 	for i := 0; i < n; i++ {
 		t := r.F64()

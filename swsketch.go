@@ -373,10 +373,6 @@ func NewSparseRow(idx []int, val []float64, d int) SparseRow {
 // SparseFromDense extracts the non-zero entries of a dense row.
 func SparseFromDense(row []float64) SparseRow { return mat.SparseFromDense(row) }
 
-// SparseUpdater is a window sketch with a sparse ingest path
-// (implemented by SWR, SWOR, LM, and DI).
-type SparseUpdater = core.SparseUpdater
-
 // ReadMatrixMarket loads a MatrixMarket coordinate file (the UFlorida
 // collection format of the paper's BIBD and RAIL matrices) as a row
 // stream.

@@ -197,8 +197,11 @@ func TestPublicAPIRemainingWrappers(t *testing.T) {
 	if swsketch.SparseFromDense([]float64{0, 3}).Nnz() != 1 {
 		t.Fatal("SparseFromDense wrapper broken")
 	}
-	var su swsketch.SparseUpdater = swsketch.NewLMFD(swsketch.Seq(8), d, 4, 3)
-	su.UpdateSparse(sr, 0)
+	sk := swsketch.NewLMFD(swsketch.Seq(8), d, 4, 3)
+	sk.Update(sr.Dense(d), 0)
+	if sk.Query(0).FrobeniusSq() != 4 {
+		t.Fatal("densified sparse row lost")
+	}
 }
 
 func TestPublicAPILoaders(t *testing.T) {
@@ -274,8 +277,8 @@ func TestScenarioEveryDataset(t *testing.T) {
 }
 
 // TestPaperDimensionWiki runs the WIKI pipeline at the paper's true
-// vocabulary size (d = 7047) through the sparse ingest path — the
-// configuration the default harness scales down — and confirms the
+// vocabulary size (d = 7047), with LM storing its raw rows sparsely —
+// the configuration the default harness scales down — and confirms the
 // sketch stays accurate and far smaller than the window.
 func TestPaperDimensionWiki(t *testing.T) {
 	if testing.Short() {
@@ -288,7 +291,7 @@ func TestPaperDimensionWiki(t *testing.T) {
 	oracle := swsketch.NewExactWindow(spec, ds.D())
 	for i, row := range ds.Rows {
 		tt := ds.Times[i]
-		sketch.UpdateSparse(swsketch.SparseFromDense(row), tt)
+		sketch.Update(row, tt)
 		oracle.Update(row, tt)
 	}
 	last := ds.Times[ds.N()-1]
