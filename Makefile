@@ -62,9 +62,9 @@ bench-hh:
 conformance:
 	$(GO) test -race -run 'TestContract|TestRegistryCoverage' ./internal/core ./internal/conformance
 
-# Short fuzzing pass over the stateful structures and the decoders of
+# Short fuzzing pass over the stateful structures, the decoders of
 # untrusted bytes (stream frames, WAL records, FD, DS-FD and sampler
-# snapshots).
+# snapshots), and the row-form QR against its bit-exact oracle.
 fuzz:
 	$(GO) test -fuzz FuzzEstimate -fuzztime 30s ./internal/eh
 	$(GO) test -fuzz FuzzLMFD -fuzztime 30s ./internal/core
@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/serve
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 30s ./internal/wal
 	$(GO) test -fuzz FuzzFDUnmarshal -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz FuzzQR -fuzztime 30s ./internal/mat
 
 # CI gate: re-runs the paper's qualitative shape checks; non-zero exit
 # on any DIFF.

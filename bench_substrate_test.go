@@ -175,6 +175,9 @@ func BenchmarkQueryCost(b *testing.B) {
 		"SWR":   core.NewSWR(spec, 40, d, 1),
 		"SWOR":  core.NewSWOR(spec, 40, d, 2),
 		"LM-FD": core.NewLMFD(spec, d, 24, 8),
+		// Stacked rows [a|b] with d_b = 16: the query merges COD blocks,
+		// whose every shrink is two QRs and an SVD.
+		"LM-AMM": core.NewLMAMM(spec, d-16, 16, 24, 8),
 	}
 	for name, sk := range sketches {
 		for i, r := range rows {

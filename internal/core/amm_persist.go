@@ -280,6 +280,15 @@ func (a *AMM) UnmarshalBinary(data []byte) error {
 	if r.Rest() != 0 {
 		return fmt.Errorf("core: AMM snapshot has %d trailing bytes", r.Rest())
 	}
+	if a.inner != nil {
+		if err := checkRestoreConfig("AMM",
+			cfgField{"framework", restored.Name(), a.Name()},
+			cfgField{"d_a", dA, a.dA}, cfgField{"d_b", dB, a.dB},
+			cfgField{"window", restored.spec, a.spec}, cfgField{"ell", restored.ell, a.ell},
+			cfgField{"b", restored.b, a.b}, cfgField{"DI config", restored.dicfg, a.dicfg}); err != nil {
+			return err
+		}
+	}
 	tr := a.tr
 	*a = *restored
 	a.SetTracer(tr)

@@ -377,14 +377,22 @@ func TestAMMUnmarshalRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s snapshot unexpectedly accepted", name)
 		}
 	}
-	// Cross-kind restore must work: the snapshot rebuilds the inner
-	// framework from its own header regardless of the receiver's.
+	// A sketch built with parameters refuses a blob of another kind and
+	// stays as it was; a zero-value receiver rebuilds the inner
+	// framework from the snapshot's own header.
 	other := NewDIAMM(DIConfig{N: 10, R: 4, L: 2, Ell: 8}, 2, 2)
-	if err := other.UnmarshalBinary(blob); err != nil {
-		t.Fatalf("cross-kind restore failed: %v", err)
+	if err := other.UnmarshalBinary(blob); err == nil {
+		t.Fatal("DI-AMM sketch accepted an LM-AMM snapshot")
 	}
-	if other.Name() != "LM-AMM" {
-		t.Fatalf("cross-kind restore produced %q", other.Name())
+	if other.Name() != "DI-AMM" {
+		t.Fatalf("refused cross-kind restore changed the receiver to %q", other.Name())
+	}
+	var zero AMM
+	if err := zero.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("zero-value restore failed: %v", err)
+	}
+	if zero.Name() != "LM-AMM" {
+		t.Fatalf("zero-value restore produced %q", zero.Name())
 	}
 }
 

@@ -181,6 +181,14 @@ func (s *DSFD) UnmarshalBinary(data []byte) error {
 		N: n, Ell: ell, R: rBound, RSlack: rSlack,
 		FD: stream.FDOpts{Buffer: fdBuffer, Alpha: fdAlpha},
 	}, d)
+	if s.d != 0 {
+		blobCfg, recvCfg := restored.cfg, s.cfg
+		blobCfg.FD, recvCfg.FD = stream.FDOpts{}, stream.FDOpts{}
+		if err := checkRestoreConfig("DSFD",
+			cfgField{"d", d, s.d}, cfgField{"config", blobCfg, recvCfg}); err != nil {
+			return err
+		}
+	}
 	restored.rSeen = rSeen
 	restored.lastT, restored.seen = lastT, seen
 	restored.sinceSnap = sinceSnap

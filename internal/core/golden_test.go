@@ -1,13 +1,17 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"swsketch/internal/mat"
+	"swsketch/internal/stream"
 	"swsketch/internal/window"
 )
 
@@ -83,5 +87,114 @@ func TestSamplerSeededDeterminism(t *testing.T) {
 	a2, b2 := run()
 	if a1 != a2 || b1 != b2 {
 		t.Fatal("seeded samplers not reproducible")
+	}
+}
+
+// bitsDigest is the SHA-256 of the exact IEEE-754 bits of vals, in
+// order: any change to a single ulp anywhere shows up.
+func bitsDigest(vals []float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range vals {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func bytesDigest(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
+}
+
+func flattenRows(rows [][]float64) []float64 {
+	var out []float64
+	for _, r := range rows {
+		out = append(out, r...)
+	}
+	return out
+}
+
+// TestCODAMMGolden pins the exact output bits of the COD co-sketch and
+// both AMM window lifts over a fixed seeded paired stream: the SHA-256
+// of the snapshot bytes and of the Float64bits of the AᵀB estimate.
+// The shapes cover both sides of the shrink's QR (a side with fewer
+// buffered rows than columns and one with more). A kernel rewrite in
+// the shrink path (QR, SVD, the rebuild products) that reassociates a
+// single sum changes these digests; re-pin them only for a deliberate
+// change of the algorithm, and say why in CHANGES.md.
+func TestCODAMMGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" || !mat.KernelsAccelerated() {
+		// The rebuild products run through the AVX2+FMA kernels; the
+		// portable fallback rounds differently, and other architectures
+		// may fuse multiply-adds in the pure-Go loops.
+		t.Skip("digests are pinned for amd64 with AVX2+FMA kernels")
+	}
+	const n = 1500
+	rows := pairedRows(rand.New(rand.NewSource(20261018)), n, 12, 8, 3)
+	times := make([]float64, n)
+	for i := range times {
+		times[i] = float64(i + 1)
+	}
+	ingest := func(a *AMM) {
+		for lo := 0; lo < n; lo += 97 {
+			hi := lo + 97
+			if hi > n {
+				hi = n
+			}
+			a.UpdateBatch(rows[lo:hi], times[lo:hi])
+		}
+	}
+	check := func(name string, a *AMM, wantBlob, wantProduct string) {
+		t.Helper()
+		blob, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytesDigest(blob); got != wantBlob {
+			t.Errorf("%s snapshot sha256 = %s, want %s", name, got, wantBlob)
+		}
+		if got := bitsDigest(flattenRows(a.AmmApproximation(float64(n)))); got != wantProduct {
+			t.Errorf("%s AmmApproximation bits sha256 = %s, want %s", name, got, wantProduct)
+		}
+	}
+
+	lm := NewLMAMMOpts(window.Seq(400), 12, 8, 8, 4, stream.FDOpts{Buffer: 2})
+	ingest(lm)
+	if got := lm.Stats()["fd_shrinks"]; got < 10 {
+		t.Fatalf("LM-AMM block co-sketches shrank %v times, want ≥ 10", got)
+	}
+	check("LM-AMM", lm,
+		"0278717bd1c427ea8afc8011415e2fb446cb7a6821203132d2589a20b5c0190c",
+		"ab6d2abaaa666463bf3dd0a8380b7db341743cb0a03a76912ebef5e0c508efa5")
+
+	di := NewDIAMM(DIConfig{N: 400, R: maxStackedSqNorm(rows) * 1.01, L: 3, Ell: 16, RSlack: 2}, 12, 8)
+	ingest(di)
+	if got := di.Stats()["fd_shrinks"]; got < 100 {
+		t.Fatalf("DI-AMM co-sketches shrank %v times, want ≥ 100", got)
+	}
+	check("DI-AMM", di,
+		"b272a612ed0ecf8b2ee41d8f0c34e97cf8f7c276eb8a69d9ffe9a524fdc5898f",
+		"fe8cf06affea2ffc808eab6310a1479133a5ce56f341f6ac8bee8f0a6112a979")
+
+	// A stand-alone co-sketch whose A side (d=24) is wider than its
+	// buffer and whose B side (d=5) is narrower.
+	wide := pairedRows(rand.New(rand.NewSource(7)), 600, 24, 5, 4)
+	cod := stream.NewCOD(6, 24, 5)
+	for _, r := range wide {
+		cod.Update(r)
+	}
+	if cod.Shrinks() < 20 {
+		t.Fatalf("stand-alone COD shrank %d times, want ≥ 20", cod.Shrinks())
+	}
+	blob, err := cod.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bytesDigest(blob), "43079d246934d38316325e74006042685bff3330d2572735dc59a554d9852101"; got != want {
+		t.Errorf("COD snapshot sha256 = %s, want %s", got, want)
+	}
+	if got, want := bitsDigest(cod.Product().Data()), "ff674d88c21ebd212a18217b5c049ed22304336e6cbd276df97403c8fb1a9bf3"; got != want {
+		t.Errorf("COD product bits sha256 = %s, want %s", got, want)
 	}
 }

@@ -51,6 +51,29 @@ func readSpec(r *binenc.Reader) (window.Spec, error) {
 	return window.Spec{Kind: kind, Size: size}, nil
 }
 
+// cfgField pairs one configuration parameter as a snapshot records it
+// with the value the receiving sketch was built with.
+type cfgField struct {
+	name       string
+	blob, recv any
+}
+
+// checkRestoreConfig refuses a snapshot whose configuration differs
+// from the receiver's in any listed field. Decoders call it only on a
+// receiver built with parameters (a tenant's sketch); a zero-value
+// receiver adopts whatever configuration the snapshot carries. Either
+// way a refused blob leaves the receiver unchanged. The FD buffer
+// tuning is not compared: the blob's tuning wins, as it always has,
+// because registry spill headers do not record it.
+func checkRestoreConfig(algo string, fields ...cfgField) error {
+	for _, f := range fields {
+		if f.blob != f.recv {
+			return fmt.Errorf("core: %s snapshot has %s %v, the receiving sketch has %v", algo, f.name, f.blob, f.recv)
+		}
+	}
+	return nil
+}
+
 func writeCandidate(w *binenc.Writer, c candidate) {
 	w.F64s(c.row)
 	w.F64(c.t)
@@ -128,6 +151,12 @@ func (s *SWR) UnmarshalBinary(data []byte) error {
 	}
 	if d < 1 || ell < 1 {
 		return fmt.Errorf("core: SWR snapshot shape ell=%d d=%d", ell, d)
+	}
+	if s.d != 0 {
+		if err := checkRestoreConfig("SWR",
+			cfgField{"window", spec, s.spec}, cfgField{"d", d, s.d}, cfgField{"ell", ell, s.ell}); err != nil {
+			return err
+		}
 	}
 	// Each queue encodes at least its 8-byte count: reject a claimed ℓ
 	// the payload cannot hold before NewSWR allocates ℓ queues.
@@ -225,6 +254,13 @@ func (s *SWOR) UnmarshalBinary(data []byte) error {
 	}
 	if d < 1 || ell < 1 {
 		return fmt.Errorf("core: SWOR snapshot shape ell=%d d=%d", ell, d)
+	}
+	if s.d != 0 {
+		if err := checkRestoreConfig(s.Name(),
+			cfgField{"window", spec, s.spec}, cfgField{"d", d, s.d}, cfgField{"ell", ell, s.ell},
+			cfgField{"all", all, s.All}, cfgField{"uniform_scale", uniform, s.UniformScale}); err != nil {
+			return err
+		}
 	}
 	restored := NewSWOR(spec, ell, d, time.Now().UnixNano())
 	restored.UniformScale, restored.All = uniform, all
@@ -408,6 +444,13 @@ func (l *LM) UnmarshalBinary(data []byte) error {
 	}
 	if d < 1 || ell < 1 || b < 2 || nLevels < 0 {
 		return fmt.Errorf("core: LM snapshot shape d=%d ell=%v b=%d levels=%d", d, ell, b, nLevels)
+	}
+	if l.factory != nil {
+		if err := checkRestoreConfig("LM-FD",
+			cfgField{"framework", "LM-FD", l.name}, cfgField{"window", spec, l.spec},
+			cfgField{"d", d, l.d}, cfgField{"ell", ell, l.ell}, cfgField{"b", b, l.b}); err != nil {
+			return err
+		}
 	}
 	restored := NewLMFDOpts(spec, d, int(ell), b, fdo)
 	restored.lastT, restored.seen = lastT, seen

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"swsketch/internal/binenc"
+	"swsketch/internal/stream"
 	"swsketch/internal/window"
 )
 
@@ -212,5 +214,93 @@ func TestSWRSnapshotQueueCountBomb(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Fatalf("decoding the rejected blob allocated %d bytes", grew)
+	}
+}
+
+// TestRestoreRefusesForeignConfig: every snapshot decoder, called on a
+// sketch built with parameters, refuses a blob taken under different
+// parameters and leaves the receiver as it was; the same blob still
+// restores into a sketch built like its source, and into one more
+// receiver that may adopt it: a zero value, or for LM-FD a sketch with
+// other FD buffer tuning.
+func TestRestoreRefusesForeignConfig(t *testing.T) {
+	type snapper interface {
+		WindowSketch
+		MarshalBinary() ([]byte, error)
+		UnmarshalBinary([]byte) error
+	}
+	seq := window.Seq(64)
+	dsfd := func(n, ell int, r float64, d int) snapper {
+		return NewDSFD(DSFDConfig{N: n, Ell: ell, R: r}, d)
+	}
+	cases := []struct {
+		name    string
+		src     func() snapper
+		foreign []func() snapper
+		other   func() snapper // a zero value, or a receiver that may adopt the blob
+	}{
+		{"LM-FD", func() snapper { return NewLMFD(seq, 5, 8, 4) }, []func() snapper{
+			func() snapper { return NewLMFD(seq, 3, 8, 4) },
+			func() snapper { return NewLMFD(window.Seq(999), 5, 8, 4) },
+			func() snapper { return NewLMFD(window.TimeSpan(64), 5, 8, 4) },
+			func() snapper { return NewLMFD(seq, 5, 12, 4) },
+			func() snapper { return NewLMFD(seq, 5, 8, 6) },
+			func() snapper { return NewLMHash(seq, 5, 8, 4, 1) },
+		}, func() snapper {
+			// The FD buffer tuning is not compared (registry spill
+			// headers do not record it): the blob's tuning wins.
+			return NewLMFDOpts(seq, 5, 8, 4, stream.FDOpts{Buffer: 2})
+		}},
+		{"SWR", func() snapper { return NewSWR(seq, 6, 5, 1) }, []func() snapper{
+			func() snapper { return NewSWR(seq, 6, 3, 1) },
+			func() snapper { return NewSWR(seq, 7, 5, 1) },
+			func() snapper { return NewSWR(window.Seq(999), 6, 5, 1) },
+		}, func() snapper { return new(SWR) }},
+		{"SWOR", func() snapper { return NewSWOR(seq, 6, 5, 1) }, []func() snapper{
+			func() snapper { return NewSWOR(seq, 6, 3, 1) },
+			func() snapper { return NewSWORAll(seq, 6, 5, 1) },
+			func() snapper { return NewSWOR(window.TimeSpan(64), 6, 5, 1) },
+		}, func() snapper { return new(SWOR) }},
+		{"DS-FD", func() snapper { return dsfd(64, 6, 0, 5) }, []func() snapper{
+			func() snapper { return dsfd(64, 6, 0, 3) },
+			func() snapper { return dsfd(999, 6, 0, 5) },
+			func() snapper { return dsfd(64, 8, 0, 5) },
+			func() snapper { return dsfd(64, 6, 50, 5) },
+		}, func() snapper { return new(DSFD) }},
+		{"LM-AMM", func() snapper { return NewLMAMM(seq, 3, 2, 8, 4) }, []func() snapper{
+			func() snapper { return NewLMAMM(seq, 2, 3, 8, 4) },
+			func() snapper { return NewLMAMM(window.Seq(999), 3, 2, 8, 4) },
+			func() snapper { return NewLMAMM(seq, 3, 2, 10, 4) },
+			func() snapper { return NewDIAMM(DIConfig{N: 64, R: 400, L: 3, Ell: 8}, 3, 2) },
+		}, func() snapper { return new(AMM) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			src := c.src()
+			for i := 0; i < 120; i++ {
+				src.Update(randRow(rng, 5), float64(i)) // every source has d = 5 (d_a+d_b for AMM)
+			}
+			blob, err := src.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, mk := range c.foreign {
+				recv := mk()
+				before, berr := recv.MarshalBinary()
+				if err := recv.UnmarshalBinary(blob); err == nil {
+					t.Fatalf("foreign receiver %d (%s) accepted the blob", i, recv.Name())
+				}
+				after, aerr := recv.MarshalBinary()
+				if (berr == nil) != (aerr == nil) || !bytes.Equal(before, after) {
+					t.Fatalf("foreign receiver %d (%s) changed by a refused restore", i, recv.Name())
+				}
+			}
+			for _, recv := range []snapper{c.src(), c.other()} {
+				if err := recv.UnmarshalBinary(blob); err != nil {
+					t.Fatalf("matching receiver refused its own blob: %v", err)
+				}
+			}
+		})
 	}
 }

@@ -222,3 +222,109 @@ func TestWALHealthFieldAbsentWithoutWAL(t *testing.T) {
 		t.Fatalf("health without a WAL leaks the wal field: %s", data)
 	}
 }
+
+// walBytes sums the sizes of the log's files.
+func walBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var n int64
+	err := filepath.Walk(dir, func(_ string, fi os.FileInfo, err error) error {
+		if err == nil && !fi.IsDir() {
+			n += fi.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestSnapshotRestoreRefusesForeignConfig: a snapshot taken under one
+// tenant configuration must not restore into a tenant built with
+// another (framework, d, window kind or size). The POST answers 400
+// invalid_argument on /v2 and the /v1 alias, the tenant's stats and
+// snapshot bytes are unchanged, and nothing reaches the log: a cold
+// recovery rebuilds the pre-POST state with no failed records.
+func TestSnapshotRestoreRefusesForeignConfig(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := walServer(t, dir)
+	cfgs := map[string]string{
+		"d5":     `{"framework":"lm-fd","window":"sequence","size":64,"d":5,"ell":8,"b":4}`,
+		"d3":     lmTenantCfg,
+		"win999": `{"framework":"lm-fd","window":"sequence","size":999,"d":3,"ell":8,"b":4}`,
+		"time":   `{"framework":"lm-fd","window":"time","size":64,"d":3,"ell":8,"b":4}`,
+		"hash":   `{"framework":"lm-hash","window":"sequence","size":64,"d":3,"ell":8,"b":4}`,
+	}
+	for id, cfg := range cfgs {
+		resp := doReq(t, "PUT", ts.URL+"/v2/tenants/"+id, cfg)
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("PUT %s: status %d", id, resp.StatusCode)
+		}
+	}
+	ingest := func(id, body string) {
+		resp := postJSON(t, ts.URL+"/v2/tenants/"+id+"/rows", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest into %s: status %d", id, resp.StatusCode)
+		}
+	}
+	ingest("d5", `{"updates":[{"row":[1,2,3,4,5],"t":1},{"row":[5,4,3,2,1],"t":2}]}`)
+	for _, id := range []string{"d3", "win999", "time", "hash"} {
+		ingest(id, `{"updates":[{"row":[1,0,2],"t":1},{"row":[0,3,0],"t":2}]}`)
+	}
+	foreign := getBytes(t, ts.URL+"/v2/tenants/d5/snapshot")
+	fromD3 := getBytes(t, ts.URL+"/v2/tenants/d3/snapshot")
+
+	cases := []struct{ target, from string }{
+		{"d3", "d5"}, {"win999", "d5"}, {"time", "d5"}, {"hash", "d5"},
+		{"win999", "d3"}, {"time", "d3"}, {"hash", "d3"},
+	}
+	snapOf := func(id string) []byte {
+		if id == "hash" { // lm-hash has no snapshot encoder
+			return nil
+		}
+		return getBytes(t, ts.URL+"/v2/tenants/"+id+"/snapshot")
+	}
+	for _, c := range cases {
+		blob := foreign
+		if c.from == "d3" {
+			blob = fromD3
+		}
+		beforeSnap := snapOf(c.target)
+		beforeStats := getBytes(t, ts.URL+"/v2/tenants/"+c.target+"/stats")
+		beforeWAL := walBytes(t, dir)
+		for _, prefix := range []string{"/v2", "/v1"} {
+			url := ts.URL + prefix + "/tenants/" + c.target + "/snapshot"
+			resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				resp.Body.Close()
+				t.Fatalf("%s blob into %s via %s: status %d, want 400", c.from, c.target, prefix, resp.StatusCode)
+			}
+			if e := decodeError(t, resp); e.Code != CodeInvalidArgument {
+				t.Fatalf("%s blob into %s via %s: code %q", c.from, c.target, prefix, e.Code)
+			}
+		}
+		if got := getBytes(t, ts.URL+"/v2/tenants/"+c.target+"/stats"); !bytes.Equal(got, beforeStats) {
+			t.Fatalf("%s stats changed by a refused restore:\n%s\n%s", c.target, beforeStats, got)
+		}
+		if got := snapOf(c.target); !bytes.Equal(got, beforeSnap) {
+			t.Fatalf("%s snapshot bytes changed by a refused restore", c.target)
+		}
+		if got := walBytes(t, dir); got != beforeWAL {
+			t.Fatalf("refused restore into %s grew the log by %d bytes", c.target, got-beforeWAL)
+		}
+	}
+
+	want := snapOf("d3")
+	_, ts2, st := walServer(t, dir)
+	if st.Failed != 0 || st.Damaged {
+		t.Fatalf("recovery stats %+v", st)
+	}
+	if got := getBytes(t, ts2.URL+"/v2/tenants/d3/snapshot"); !bytes.Equal(got, want) {
+		t.Fatal("recovered d3 tenant differs from its pre-POST state")
+	}
+}

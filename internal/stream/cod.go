@@ -249,13 +249,17 @@ func (c *COD) shrink() {
 	x := mat.NewDenseData(n, c.dA, c.bufX.Data()[:n*c.dA])
 	y := mat.NewDenseData(n, c.dB, c.bufY.Data()[:n*c.dB])
 
-	qx := mat.QR(x.T()) // Qx: dA×kx, Rx: kx×n
-	qy := mat.QR(y.T()) // Qy: dB×ky, Ry: ky×n
-	kx, ky := qx.Q.Cols(), qy.Q.Cols()
+	// The buffer rows are the columns of Xᵀ and Yᵀ, so the row-form QR
+	// factors them in place of a transposed copy and hands back Qᵀ.
+	qxt, rx := mat.QRRows(x) // Qxᵀ: kx×dA, Rx: kx×n
+	qyt, ry := mat.QRRows(y) // Qyᵀ: ky×dB, Ry: ky×n
+	kx, ky := qxt.Rows(), qyt.Rows()
 
-	// M = Rx·Ryᵀ carries the full product: XᵀY = Qx·M·Qyᵀ.
+	// M = Rx·Ryᵀ carries the full product: XᵀY = Qx·M·Qyᵀ. Ryᵀ (n×ky,
+	// n ≤ b·ℓ) is the one transpose left: the pinned outputs depend on
+	// MulTo's summation order for M.
 	mm := mat.NewDense(kx, ky)
-	mat.MulTo(mm, qx.R, qy.R.T())
+	mat.MulTo(mm, rx, ry.T())
 	sv := mat.SVD(mm) // U kx×r, S desc, V ky×r
 
 	delta := shrinkLambda(sv.S, c.shrinkIdx())
@@ -275,20 +279,20 @@ func (c *COD) shrink() {
 		ut := mat.NewDense(kept, kx)
 		mat.TransposeInto(ut, sv.U, kept)
 		dstX := mat.NewDenseData(kept, c.dA, c.spareX.Data()[:kept*c.dA])
-		mat.MulTo(dstX, ut, qx.Q.T())
+		mat.MulTo(dstX, ut, qxt)
 		vt := mat.NewDense(kept, ky)
 		mat.TransposeInto(vt, sv.V, kept)
 		dstY := mat.NewDenseData(kept, c.dB, c.spareY.Data()[:kept*c.dB])
-		mat.MulTo(dstY, vt, qy.Q.T())
+		mat.MulTo(dstY, vt, qyt)
 		for k := 0; k < kept; k++ {
 			scale := math.Sqrt(sv.S[k] - delta)
-			rx := dstX.Row(k)
-			for j := range rx {
-				rx[j] *= scale
+			xr := dstX.Row(k)
+			for j := range xr {
+				xr[j] *= scale
 			}
-			ry := dstY.Row(k)
-			for j := range ry {
-				ry[j] *= scale
+			yr := dstY.Row(k)
+			for j := range yr {
+				yr[j] *= scale
 			}
 		}
 	}
