@@ -64,7 +64,8 @@ conformance:
 
 # Short fuzzing pass over the stateful structures, the decoders of
 # untrusted bytes (stream frames, WAL records, FD, DS-FD and sampler
-# snapshots), and the row-form QR against its bit-exact oracle.
+# snapshots), and the row-form QR and eigensolver against their
+# bit-exact oracles.
 fuzz:
 	$(GO) test -fuzz FuzzEstimate -fuzztime 30s ./internal/eh
 	$(GO) test -fuzz FuzzLMFD -fuzztime 30s ./internal/core
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWALRecord -fuzztime 30s ./internal/wal
 	$(GO) test -fuzz FuzzFDUnmarshal -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz FuzzQR -fuzztime 30s ./internal/mat
+	$(GO) test -fuzz FuzzEigenSym -fuzztime 30s ./internal/mat
 
 # CI gate: re-runs the paper's qualitative shape checks; non-zero exit
 # on any DIFF.

@@ -47,7 +47,7 @@ func BenchmarkAblationEigensolver(b *testing.B) {
 		a := randSym(rng, n)
 		b.Run(fmt.Sprintf("QL/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mat.EigenSymQL(a)
+				mat.EigenSym(a)
 			}
 		})
 		b.Run(fmt.Sprintf("Jacobi/n=%d", n), func(b *testing.B) {

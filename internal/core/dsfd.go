@@ -294,7 +294,7 @@ func truncateTop(m *mat.Dense, tau float64) *mat.Dense {
 	if n == 0 {
 		return nil
 	}
-	vals, u := mat.EigenSym(m.GramT())
+	vals, ut := mat.EigenSymRows(m.GramT())
 	kept := 0
 	for kept < len(vals) && vals[kept] > tau && vals[kept] > 0 {
 		kept++
@@ -302,10 +302,8 @@ func truncateTop(m *mat.Dense, tau float64) *mat.Dense {
 	if kept == 0 {
 		return nil
 	}
-	ut := mat.NewDense(kept, n)
-	mat.TransposeInto(ut, u, kept)
 	out := mat.NewDense(kept, m.Cols())
-	mat.MulTo(out, ut, m)
+	mat.MulTo(out, mat.NewDenseData(kept, n, ut.Data()[:kept*n]), m)
 	return out
 }
 

@@ -198,3 +198,62 @@ func TestCODAMMGolden(t *testing.T) {
 		t.Errorf("COD product bits sha256 = %s, want %s", got, want)
 	}
 }
+
+// TestClassicFDGolden pins the exact output bits of the classic (b=1,
+// α=1) FD shrink at the shapes the query plane runs: LM-FD at d=256,
+// ℓ=64 over a 500-row window, and DS-FD at ℓ=64. It hashes the
+// snapshot bytes and the Float64bits of the query answer. Both go
+// through EigenSym and the rebuild product on every shrink, so a
+// solver or kernel rewrite that moves a single bit shows up here.
+// Re-pin only for a deliberate change of the algorithm, and say why in
+// CHANGES.md.
+func TestClassicFDGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Other architectures may fuse multiply-adds in the Go loops.
+		t.Skip("digests are pinned for amd64")
+	}
+	const n, d = 1500, 256
+	rng := rand.New(rand.NewSource(20261019))
+	rows := make([][]float64, n)
+	times := make([]float64, n)
+	for i := range rows {
+		// A decaying spectrum, so shrinks keep a varying number of
+		// directions rather than all or none.
+		rows[i] = randRow(rng, d)
+		for j := range rows[i] {
+			rows[i][j] /= 1 + float64(j)/16
+		}
+		times[i] = float64(i + 1)
+	}
+	type sketch interface {
+		UpdateBatch(rows [][]float64, ts []float64)
+		Query(t float64) *mat.Dense
+		MarshalBinary() ([]byte, error)
+	}
+	check := func(name string, sk sketch, wantBlob, wantQuery string) {
+		t.Helper()
+		for lo := 0; lo < n; lo += 64 {
+			hi := lo + 64
+			if hi > n {
+				hi = n
+			}
+			sk.UpdateBatch(rows[lo:hi], times[lo:hi])
+		}
+		blob, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytesDigest(blob); got != wantBlob {
+			t.Errorf("%s snapshot sha256 = %s, want %s", name, got, wantBlob)
+		}
+		if got := bitsDigest(sk.Query(float64(n)).Data()); got != wantQuery {
+			t.Errorf("%s Query bits sha256 = %s, want %s", name, got, wantQuery)
+		}
+	}
+	check("LM-FD", NewLMFD(window.Seq(500), d, 64, 8),
+		"a47176c1b0d08b493bc24002b2a1cb6ff07832d023412eaa582754047747a443",
+		"f6bb31f05a0233fdc0eaa496bec4318ab75f17ab11df23435d13722d8608fc91")
+	check("DS-FD", NewDSFD(DSFDConfig{N: 500, Ell: 64, RSlack: 1.01}, d),
+		"bdef76766d7a097593200e2a2501f1e5cae25e1ab7f6690c9966fc0bd07c5e9c",
+		"465a06f0db3c960cd0f312b38f7501dfb2a1506695a045446631c18fb26c129e")
+}

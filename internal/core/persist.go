@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -20,6 +21,11 @@ import (
 //
 // Formats are versioned with magic numbers; restoring rejects foreign
 // or truncated data.
+
+// ErrSnapshotUnsupported is returned (wrapped) by MarshalBinary on a
+// sketch that has no snapshot format, such as an LM over a non-FD
+// block sketch. Callers test for it with errors.Is.
+var ErrSnapshotUnsupported = errors.New("snapshots unsupported")
 
 const (
 	swrMagic  = uint64(0x53575253_00000001) // "SWRS" v1
@@ -64,7 +70,8 @@ type cfgField struct {
 // receiver adopts whatever configuration the snapshot carries. Either
 // way a refused blob leaves the receiver unchanged. The FD buffer
 // tuning is not compared: the blob's tuning wins, as it always has,
-// because registry spill headers do not record it.
+// because spill files written before the registry's v3 header decode
+// to the default tuning.
 func checkRestoreConfig(algo string, fields ...cfgField) error {
 	for _, f := range fields {
 		if f.blob != f.recv {
@@ -298,7 +305,7 @@ func (s *SWOR) UnmarshalBinary(data []byte) error {
 // FD's is fully determined by (ℓ, d).
 func (l *LM) MarshalBinary() ([]byte, error) {
 	if l.name != "LM-FD" {
-		return nil, fmt.Errorf("core: LM snapshots support LM-FD only, have %s", l.name)
+		return nil, fmt.Errorf("core: %w: LM snapshots support LM-FD only, have %s", ErrSnapshotUnsupported, l.name)
 	}
 	l.snapshots++
 	w := binenc.NewWriter()

@@ -9,9 +9,14 @@ import (
 // EigenSym computes the eigendecomposition of a symmetric matrix a:
 // eigenvalues in descending order and the corresponding eigenvectors
 // as the columns of v, so that a = v·diag(vals)·vᵀ. The input is not
-// modified. It dispatches to the tridiagonal QL solver (EigenSymQL),
-// the fast production path; EigenSymJacobi is the slow reference.
-func EigenSym(a *Dense) (vals []float64, v *Dense) { return EigenSymQL(a) }
+// modified. It is the transpose of EigenSymRows, the tridiagonal QL
+// solver and fast production path; EigenSymJacobi is the slow
+// reference.
+func EigenSym(a *Dense) (vals []float64, v *Dense) {
+	vals, v = EigenSymRows(a)
+	transposeSquare(v)
+	return vals, v
+}
 
 // EigenSymJacobi computes the same decomposition with the cyclic
 // Jacobi method: ~10× more flops than QL but unconditionally stable
@@ -135,12 +140,7 @@ func applyJacobiRotation(w, v *Dense, p, q int, c, s float64) {
 // columns of v to match.
 func sortEigenDesc(vals []float64, v *Dense) {
 	n := len(vals)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
-
+	idx := descOrder(vals)
 	sorted := make([]float64, n)
 	perm := NewDense(n, n)
 	for newCol, oldCol := range idx {
@@ -151,4 +151,15 @@ func sortEigenDesc(vals []float64, v *Dense) {
 	}
 	copy(vals, sorted)
 	copy(v.data, perm.data)
+}
+
+// descOrder returns the indices of vals sorted by descending value,
+// ties in index order.
+func descOrder(vals []float64) []int {
+	idx := make([]int, len(vals))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
+	return idx
 }

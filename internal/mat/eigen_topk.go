@@ -10,7 +10,7 @@ import (
 // it produces every eigenvalue but only the leading k eigenvectors,
 // which is the exact shape of FrequentDirections' shrink step — the
 // shrink threshold λ needs the full spectrum, while only the ~ℓ/2
-// surviving directions need vectors. Compared to EigenSymQL it skips
+// surviving directions need vectors. Compared to EigenSymRows it skips
 // both accumulation passes (the tred2 Q build-up and the per-rotation
 // tql2 column updates, together the dominant and most cache-hostile
 // cost of the full decomposition) and replaces them with inverse
@@ -22,7 +22,7 @@ import (
 // (with cluster orthogonalization for near-equal eigenvalues) →
 // back-transform. If inverse iteration fails a residual or
 // orthogonality sanity check — possible only on pathological spectra —
-// the solver falls back to the full EigenSymQL decomposition, so the
+// the solver falls back to the full EigenSymRows decomposition, so the
 // result is always usable; the fallback is deterministic like
 // everything else here.
 //
@@ -205,8 +205,8 @@ func (s *SymEigTopK) VectorsTInto(z *Dense) {
 		// ordered QL decomposition and keep its leading columns. The
 		// eigenvalues match the ones already returned to working
 		// precision, so callers' λ decisions stay consistent.
-		_, v := EigenSymQL(s.a)
-		TransposeInto(z, v, k)
+		_, vt := EigenSymRows(s.a)
+		copy(z.data, vt.data[:k*n])
 		return
 	}
 
@@ -426,11 +426,19 @@ func tredReduce(w []float64, n int, hs, sub, p []float64) {
 			hs[i] = 0
 			continue
 		}
-		inv := 1 / scale
+		if inv := 1 / scale; math.IsInf(inv, 0) {
+			// Subnormal scale: see tred2.
+			for t := range row {
+				row[t] /= scale
+			}
+		} else {
+			for t := range row {
+				row[t] *= inv
+			}
+		}
 		var h float64
-		for t := range row {
-			row[t] *= inv
-			h += row[t] * row[t]
+		for _, x := range row {
+			h += x * x
 		}
 		f := row[l]
 		g := math.Sqrt(h)

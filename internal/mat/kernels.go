@@ -1,25 +1,28 @@
 package mat
 
-// Vector kernels behind the FastFD shrink pipeline. On amd64 hosts
-// with AVX2+FMA the hot inner loops dispatch to hand-written assembly
+// Vector kernels behind the FD shrinks. On amd64 hosts with AVX2+FMA
+// the hot inner loops dispatch to hand-written assembly
 // (kernels_amd64.s), detected at startup via CPUID; everywhere else —
 // and on amd64 without those extensions — the portable scalar
 // formulations run unchanged.
 //
-// The assembly fuses multiplies and adds, so its rounding differs from
-// the scalar code in the last bits. That is why only the FastFD
-// (b>1 or α<1) pipeline and SymEigTopK reach these kernels: the
-// legacy b=1, α=1 FD path and everything persisted from it must stay
-// bit-stable across releases, and it keeps using the plain Go
-// kernels regardless of CPU.
+// There are two families. The FastFD kernels fuse multiplies and adds,
+// so their rounding differs from the scalar code in the last bits;
+// only the FastFD (b>1 or α<1) pipeline and SymEigTopK reach them,
+// because the legacy b=1, α=1 FD path and everything persisted from
+// it must stay bit-stable across releases. The classic eigensolver's
+// kernels (EigenSymRows) never fuse: each element is a separate
+// multiply then add or subtract, exactly the Go expression, so they
+// give the same bits as the portable loops and the pinned path may
+// use them.
 
 // kernelsASM reports whether the assembly kernels are active. It is a
 // variable, not a constant, so tests can force the scalar path and
 // verify both implementations agree.
 var kernelsASM = false
 
-// KernelsAccelerated reports whether the fused-multiply-add assembly
-// kernels are active on this host (amd64 with AVX2+FMA). Observability
+// KernelsAccelerated reports whether the assembly kernels are active
+// on this host (amd64 with AVX2+FMA). Observability
 // surfaces report it so benchmark artifacts record which backend ran.
 func KernelsAccelerated() bool { return kernelsASM }
 

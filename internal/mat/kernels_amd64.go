@@ -70,3 +70,33 @@ func dot2(u, a, b *float64, n int) (s0, s1 float64)
 //
 //go:noescape
 func axpy2(g0, g1 float64, u, a, b *float64, n int)
+
+// The kernels below serve the classic eigensolver (EigenSymRows),
+// whose output bits are pinned. They use AVX only and never fuse: each
+// element is one VMULPD then one VADDPD or VSUBPD, the same rounding
+// as the Go loop it replaces, so they run on every host that has the
+// FMA kernels above and give the same bits as the portable code.
+
+// mulAdd4 applies p[t] = (((p[t] + r0[t]·u0) + r1[t]·u1) + r2[t]·u2) +
+// r3[t]·u3 over the first n elements (n a multiple of 4).
+//
+//go:noescape
+func mulAdd4(p, r0, r1, r2, r3 *float64, n int, u0, u1, u2, u3 float64)
+
+// rank2Sub2 applies w0[t] −= u0·q[t] + q0·u[t] and w1[t] −= u1·q[t] +
+// q1·u[t] over the first n elements (n a multiple of 4).
+//
+//go:noescape
+func rank2Sub2(w0, w1, u, q *float64, n int, u0, q0, u1, q1 float64)
+
+// mulSub applies w[t] −= a·x[t] over the first n elements (n a
+// multiple of 4).
+//
+//go:noescape
+func mulSub(w, x *float64, n int, a float64)
+
+// rot applies (x[t], y[t]) ← (c·x[t] − s·y[t], s·x[t] + c·y[t]) over
+// the first n elements (n a multiple of 4).
+//
+//go:noescape
+func rot(x, y *float64, n int, c, s float64)

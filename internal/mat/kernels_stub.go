@@ -28,3 +28,19 @@ func dot2(u, a, b *float64, n int) (s0, s1 float64) {
 func axpy2(g0, g1 float64, u, a, b *float64, n int) {
 	panic("mat: assembly kernel on non-amd64")
 }
+
+func mulAdd4(p, r0, r1, r2, r3 *float64, n int, u0, u1, u2, u3 float64) {
+	panic("mat: assembly kernel on non-amd64")
+}
+
+func rank2Sub2(w0, w1, u, q *float64, n int, u0, q0, u1, q1 float64) {
+	panic("mat: assembly kernel on non-amd64")
+}
+
+func mulSub(w, x *float64, n int, a float64) {
+	panic("mat: assembly kernel on non-amd64")
+}
+
+func rot(x, y *float64, n int, c, s float64) {
+	panic("mat: assembly kernel on non-amd64")
+}

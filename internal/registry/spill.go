@@ -17,11 +17,14 @@ import (
 // clock, and the sketch's own binary snapshot. The format is
 // versioned with a magic number like the core snapshot formats; v2
 // appends the paired-framework split width DB after R and is written
-// only when DB is set, so every pre-existing tenant keeps its v1
-// bytes.
+// only when DB is set, and v3 appends the FD tuning (fd_buffer,
+// fd_alpha) after DB and is written only when either is set, so every
+// tenant on the default tuning keeps its v1 or v2 bytes. Older headers
+// decode to the default tuning.
 const (
 	spillMagic   = uint64(0x544E4E54_00000001) // "TNNT" v1
 	spillMagicV2 = uint64(0x544E4E54_00000002) // "TNNT" v2: v1 + DB
+	spillMagicV3 = uint64(0x544E4E54_00000003) // "TNNT" v3: v2 + FDBuffer, FDAlpha
 )
 
 // spillExt is the spill-file suffix scanned at startup.
@@ -53,11 +56,13 @@ func encodeSpill(t *Tenant) ([]byte, error) {
 	}
 	w := binenc.NewWriter()
 	c := t.cfg
-	if c.DB != 0 {
-		w.U64(spillMagicV2)
-	} else {
-		w.U64(spillMagic)
+	magic := spillMagic
+	if c.FDBuffer != 0 || c.FDAlpha != 0 {
+		magic = spillMagicV3
+	} else if c.DB != 0 {
+		magic = spillMagicV2
 	}
+	w.U64(magic)
 	w.Blob([]byte(t.id))
 	w.Blob([]byte(c.Framework))
 	w.Blob([]byte(c.Window))
@@ -69,8 +74,12 @@ func encodeSpill(t *Tenant) ([]byte, error) {
 	w.Int(int(c.Seed))
 	w.Int(c.L)
 	w.F64(c.R)
-	if c.DB != 0 {
+	if magic != spillMagic {
 		w.Int(c.DB)
+	}
+	if magic == spillMagicV3 {
+		w.Int(c.FDBuffer)
+		w.F64(c.FDAlpha)
 	}
 	w.U64(t.updates.Load())
 	w.F64(t.lastT)
@@ -94,7 +103,7 @@ func decodeSpill(data []byte) (spillHeader, []byte, error) {
 	var h spillHeader
 	r := binenc.NewReader(data)
 	magic := r.U64()
-	if r.Err() == nil && magic != spillMagic && magic != spillMagicV2 {
+	if r.Err() == nil && magic != spillMagic && magic != spillMagicV2 && magic != spillMagicV3 {
 		return h, nil, fmt.Errorf("registry: not a tenant spill file (magic %#x)", magic)
 	}
 	h.id = string(r.Blob())
@@ -110,8 +119,12 @@ func decodeSpill(data []byte) (spillHeader, []byte, error) {
 		L:         r.Int(),
 		R:         r.F64(),
 	}
-	if magic == spillMagicV2 {
+	if magic != spillMagic {
 		h.cfg.DB = r.Int()
+	}
+	if magic == spillMagicV3 {
+		h.cfg.FDBuffer = r.Int()
+		h.cfg.FDAlpha = r.F64()
 	}
 	h.updates = r.U64()
 	h.lastT = r.F64()

@@ -52,6 +52,10 @@ func TestSpillRestoreBitIdentical(t *testing.T) {
 				if !bitsEqual(want, got) {
 					t.Fatalf("cycle %d: restored answer differs from pre-evict answer", cycle)
 				}
+				if c := tn.Config(); c.FDBuffer != cfg.FDBuffer || c.FDAlpha != cfg.FDAlpha {
+					t.Fatalf("cycle %d: restored config has fd_buffer=%d fd_alpha=%v, want %d, %v",
+						cycle, c.FDBuffer, c.FDAlpha, cfg.FDBuffer, cfg.FDAlpha)
+				}
 			}
 		})
 	}

@@ -560,6 +560,11 @@ func (s *Server) snapshotGet(w http.ResponseWriter, t *registry.Tenant) {
 		return
 	}
 	data, err := m.MarshalBinary()
+	if errors.Is(err, core.ErrSnapshotUnsupported) {
+		httpError(w, http.StatusNotImplemented, CodeUnsupported,
+			"%s does not support snapshots", t.Raw().Name())
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, CodeInternal, "snapshot: %v", err)
 		return

@@ -380,6 +380,26 @@ func TestTenantSnapshotRoutes(t *testing.T) {
 	}
 }
 
+// TestTenantSnapshotUnsupported: an lm-hash tenant has no snapshot
+// format, so a download answers 501 unsupported (as documented), not
+// 500 internal, on both API versions.
+func TestTenantSnapshotUnsupported(t *testing.T) {
+	ts, _ := newTenantServer(t)
+	doReq(t, "PUT", ts.URL+"/v2/tenants/h",
+		`{"framework":"lm-hash","window":"sequence","size":64,"d":3,"ell":8,"b":4}`).Body.Close()
+	postJSON(t, ts.URL+"/v2/tenants/h/rows", `{"updates":[{"row":[1,2,3],"t":1}]}`).Body.Close()
+	for _, prefix := range []string{"/v2", "/v1"} {
+		resp := doReq(t, "GET", ts.URL+prefix+"/tenants/h/snapshot", "")
+		if resp.StatusCode != http.StatusNotImplemented {
+			resp.Body.Close()
+			t.Fatalf("%s lm-hash snapshot: status %d, want 501", prefix, resp.StatusCode)
+		}
+		if e := decodeError(t, resp); e.Code != CodeUnsupported || !strings.Contains(e.Message, "LM-HASH") {
+			t.Fatalf("%s lm-hash snapshot: error %+v", prefix, e)
+		}
+	}
+}
+
 func TestTenantRouteMethodNotAllowed(t *testing.T) {
 	ts, _ := newTenantServer(t)
 	resp := doReq(t, "PATCH", ts.URL+"/v1/tenants/x", "")

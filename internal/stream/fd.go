@@ -292,11 +292,11 @@ func (f *FD) shrink() {
 }
 
 // shrinkClassic is the historical single-buffer shrink: eigendecompose
-// BBᵀ (ℓ×ℓ) with the full QL solver and rebuild survivors as UᵀB. It
-// is kept verbatim (modulo the hoisted transpose copy) so classic
-// sketches stay bit-identical across versions.
+// BBᵀ (ℓ×ℓ) with the full QL solver and rebuild survivors as UᵀB. Its
+// output bits are pinned, so classic sketches stay bit-identical
+// across versions.
 func (f *FD) shrinkClassic(sub *mat.Dense, n int) int {
-	vals, u := mat.EigenSym(sub.GramT()) // n×n, descending σ²
+	vals, ut := mat.EigenSymRows(sub.GramT()) // n×n, descending σ², rows = eigenvectors
 
 	lambda := shrinkLambda(vals, f.shrinkIdx())
 	f.delta += lambda
@@ -310,13 +310,12 @@ func (f *FD) shrinkClassic(sub *mat.Dense, n int) int {
 
 	out := f.spare
 	if kept > 0 {
-		// Surviving rows in one shot: rows = Uᵀ·sub, computed by the
-		// blocked kernel into a kept×d view of the spare buffer, then
-		// rescaled per row by sqrt((σ²_k − λ)/σ²_k).
-		ut := mat.NewDense(kept, n)
-		mat.TransposeInto(ut, u, kept)
+		// Surviving rows in one shot: rows = Uᵀ·sub over the first kept
+		// eigenvector rows, computed by the blocked kernel into a
+		// kept×d view of the spare buffer, then rescaled per row by
+		// sqrt((σ²_k − λ)/σ²_k).
 		dst := mat.NewDenseData(kept, f.d, out.Data()[:kept*f.d])
-		mat.MulTo(dst, ut, sub)
+		mat.MulTo(dst, mat.NewDenseData(kept, n, ut.Data()[:kept*n]), sub)
 		for k := 0; k < kept; k++ {
 			s2 := vals[k]
 			scale := math.Sqrt((s2 - lambda) / s2)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -127,6 +128,40 @@ func TestFDShrinkLeavesRoom(t *testing.T) {
 	f.Update(randRow(rng, 5)) // triggers shrink
 	if f.Used() > 5 {
 		t.Fatalf("after shrink Used = %d, want ≤ ⌈ℓ/2⌉+1 = 5", f.Used())
+	}
+}
+
+// TestFDShrinkExactlyLowRank: an exactly rank-2 stream (rows 0 and 1
+// Gaussian, row i ≥ 2 = row i mod 2 times {1, 0.5, 2}[i mod 3]) drives
+// the eigensolver through a subnormal Householder scale on the first
+// shrink. The shrink must keep both directions and charge a finite Δ,
+// not NaN out and drop the buffer.
+func TestFDShrinkExactlyLowRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	base := [2][]float64{randRow(rng, 16), randRow(rng, 16)}
+	f := NewFD(40, 16)
+	for i := 0; i < 41; i++ {
+		row := append([]float64(nil), base[i%2]...)
+		if i >= 2 {
+			for j := range row {
+				row[j] *= []float64{1, 0.5, 2}[i%3]
+			}
+		}
+		f.Update(row)
+	}
+	if f.Shrinks() != 1 {
+		t.Fatalf("shrinks = %d, want 1", f.Shrinks())
+	}
+	if d := f.Delta(); math.IsNaN(d) || math.IsInf(d, 0) {
+		t.Fatalf("Delta = %v after the shrink", d)
+	}
+	if f.Used() < 2 {
+		t.Fatalf("Used = %d after the shrink, want the 2 directions kept", f.Used())
+	}
+	for i, v := range f.Matrix().Data() {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("sketch entry %d is %v", i, v)
+		}
 	}
 }
 
