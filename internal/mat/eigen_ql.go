@@ -59,7 +59,6 @@ func EigenSymRows(a *Dense) (vals []float64, vt *Dense) {
 func tred2(v []float64, n int, d, e []float64) {
 	for i := n - 1; i > 0; i-- {
 		l := i - 1
-		var h float64
 		row := v[i*n : i*n+i] // elements 0..l; becomes the reflector u
 		if l == 0 {
 			e[i] = row[0]
@@ -78,8 +77,8 @@ func tred2(v []float64, n int, d, e []float64) {
 		if inv := 1 / scale; math.IsInf(inv, 0) {
 			// A subnormal scale overflows its reciprocal, and scaling
 			// by +Inf would turn the row, and then every eigenvalue,
-			// into NaN. Dividing is exact enough and only runs here,
-			// so every finite result keeps its bits.
+			// into NaN. The division runs only in that case, so every
+			// result that was finite before keeps its bits.
 			for k := range row {
 				row[k] /= scale
 			}
@@ -88,6 +87,7 @@ func tred2(v []float64, n int, d, e []float64) {
 				row[k] *= inv
 			}
 		}
+		var h float64
 		for _, x := range row {
 			h += x * x
 		}

@@ -228,9 +228,9 @@ func lowRankNaNRows(n, d int) *Dense {
 
 // TestEigenSymSubnormalScale: the rank-2 Gram above decomposes to
 // finite values, two positive and the rest zero to rounding, with
-// orthonormal leading vectors, and both reduction routines stay
-// finite. (The null-space vectors are only finite: QL rotations built
-// from subnormal tridiagonal entries lose their orthogonality.)
+// orthonormal leading vectors. (The null-space vectors are only
+// finite: QL rotations built from subnormal tridiagonal entries lose
+// their orthogonality.)
 func TestEigenSymSubnormalScale(t *testing.T) {
 	g := lowRankNaNRows(40, 16).GramT()
 	vals, vt := EigenSymRows(g)
@@ -255,10 +255,24 @@ func TestEigenSymSubnormalScale(t *testing.T) {
 	if !reconstructEigen(vals, vt.T()).Equal(g, 1e-9*vals[0]) {
 		t.Fatal("reconstruction failed")
 	}
+
+	// A diagonal matrix whose last row is subnormal off the diagonal
+	// sends both reduction routines straight into the guard.
+	a := NewDense(6, 6)
+	for i := 0; i < 6; i++ {
+		a.Set(i, i, float64(i+1))
+		if i < 5 {
+			a.Set(5, i, 1e-320)
+			a.Set(i, 5, 1e-320)
+		}
+	}
 	var s SymEigTopK
-	for i, v := range s.Values(g) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("SymEigTopK eigenvalue %d is %v", i, v)
+	full, _ := EigenSymRows(a)
+	for name, got := range map[string][]float64{"EigenSymRows": full, "SymEigTopK": s.Values(a)} {
+		for i, v := range got {
+			if want := float64(6 - i); !(math.Abs(v-want) <= 1e-14) {
+				t.Fatalf("%s: eigenvalue %d = %v, want %v", name, i, v, want)
+			}
 		}
 	}
 }

@@ -202,7 +202,7 @@ func (s *SymEigTopK) VectorsTInto(z *Dense) {
 	}
 	if !ok {
 		// Pathological spectrum: redo with the full, unconditionally
-		// ordered QL decomposition and keep its leading columns. The
+		// ordered QL decomposition and keep its leading rows. The
 		// eigenvalues match the ones already returned to working
 		// precision, so callers' λ decisions stay consistent.
 		_, vt := EigenSymRows(s.a)

@@ -22,8 +22,8 @@ package mat
 var kernelsASM = false
 
 // KernelsAccelerated reports whether the assembly kernels are active
-// on this host (amd64 with AVX2+FMA). Observability
-// surfaces report it so benchmark artifacts record which backend ran.
+// on this host (amd64 with AVX2+FMA). Observability surfaces report it
+// so benchmark artifacts record which backend ran.
 func KernelsAccelerated() bool { return kernelsASM }
 
 // MulTiledTo computes dst = a·b like MulTo, but through the FMA tile

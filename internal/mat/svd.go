@@ -16,7 +16,7 @@ type SVDResult struct {
 
 // SVD computes a thin singular value decomposition of a via the Gram
 // trick: it eigendecomposes the smaller of AᵀA (cols×cols) and AAᵀ
-// (rows×rows) with the Jacobi solver and recovers the other factor by
+// (rows×rows) with EigenSym and recovers the other factor by
 // projection. This is the right trade for sketching shapes where one
 // dimension is much smaller than the other.
 //
