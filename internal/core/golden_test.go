@@ -203,8 +203,11 @@ func TestCODAMMGolden(t *testing.T) {
 // α=1) FD shrink at the shapes the query plane runs: LM-FD at d=256,
 // ℓ=64 over a 500-row window, and DS-FD at ℓ=64. It hashes the
 // snapshot bytes and the Float64bits of the query answer. Both go
-// through EigenSym and the rebuild product on every shrink, so a
-// solver or kernel rewrite that moves a single bit shows up here.
+// through the eigensolver and the rebuild product on every shrink, so
+// a solver or kernel rewrite that moves a single bit shows up here.
+// The rebuild products are large enough to run on the worker pool;
+// the digests hold for any GOMAXPROCS because its chunks are whole
+// 4-row tiles.
 // Re-pin only for a deliberate change of the algorithm, and say why in
 // CHANGES.md.
 func TestClassicFDGolden(t *testing.T) {

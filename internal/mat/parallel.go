@@ -134,13 +134,16 @@ func parallelFor(n, grain int, body func(lo, hi int)) {
 
 // grainFor picks a chunk size for n output rows so there are a few
 // chunks per worker (dynamic balancing) without dropping below
-// minGrain.
+// minGrain. The size is rounded up to a whole number of mulRows'
+// 4-row tiles: a row summed in a chunk's remainder loop rounds
+// differently from one summed in a tile, so a chunk boundary inside a
+// tile would make the product's bits depend on the pool size.
 func grainFor(n int) int {
 	g := n / (4 * pool.size)
 	if g < minGrain {
 		g = minGrain
 	}
-	return g
+	return (g + 3) &^ 3
 }
 
 // mulRows computes rows [lo, hi) of out = a·b. It fully owns those

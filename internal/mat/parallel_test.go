@@ -1,8 +1,13 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -15,6 +20,56 @@ import (
 func init() {
 	if runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
+	}
+}
+
+// mulProcsEnv names the GOMAXPROCS a TestMulToProcsHelper subprocess
+// starts its worker pool with.
+const mulProcsEnv = "SWSKETCH_MAT_MUL_PROCS"
+
+// mulProcsInputs are the 200×64 and 64×192 factors of
+// TestMulToIndependentOfGOMAXPROCS: large enough to fan out, with 200
+// rows so most pool sizes would cut chunks inside a 4-row tile.
+func mulProcsInputs() (a, b *Dense) {
+	rng := rand.New(rand.NewSource(21))
+	return randDense(rng, 200, 64), randDense(rng, 64, 192)
+}
+
+// TestMulToProcsHelper is the subprocess half of
+// TestMulToIndependentOfGOMAXPROCS: it sizes a fresh worker pool from
+// the requested GOMAXPROCS and prints the product's digest.
+func TestMulToProcsHelper(t *testing.T) {
+	procs, err := strconv.Atoi(os.Getenv(mulProcsEnv))
+	if err != nil {
+		t.Skip("runs as a subprocess of TestMulToIndependentOfGOMAXPROCS")
+	}
+	runtime.GOMAXPROCS(procs)
+	a, b := mulProcsInputs()
+	fmt.Printf("digest=%s pool=%d\n", eigenDigest(nil, MulTo(NewDense(200, 192), a, b)), pool.size)
+}
+
+// TestMulToIndependentOfGOMAXPROCS: MulTo gives the same bits whatever
+// the pool size, and those of the serial kernel. Each pool size runs
+// in its own process, since the pool is sized once, on first use.
+func TestMulToIndependentOfGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	a, b := mulProcsInputs()
+	serial := NewDense(200, 192)
+	mulRows(serial, a, b, 0, 200)
+	want := eigenDigest(nil, serial)
+	for _, procs := range []int{1, 2, 3, 4, 8} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMulToProcsHelper$", "-test.count=1")
+		cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d", mulProcsEnv, procs))
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v\n%s", procs, err, out)
+		}
+		wantLine := fmt.Sprintf("digest=%s pool=%d", want, procs)
+		if !strings.Contains(string(out), wantLine) {
+			t.Errorf("GOMAXPROCS=%d: got %q, want a line %q", procs, out, wantLine)
+		}
 	}
 }
 
